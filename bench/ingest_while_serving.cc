@@ -33,7 +33,7 @@
 #include <thread>
 #include <vector>
 
-#include "api/live_device.h"
+#include "api/sharded_device.h"
 #include "benchutil.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -151,17 +151,19 @@ struct Point
 };
 
 /** Fresh live device seeded with the same corpus every time. */
-std::unique_ptr<api::LiveDevice>
-makeDevice(bool merges)
+std::unique_ptr<api::ShardedDevice>
+makeDevice()
 {
-    api::LiveDeviceConfig cfg;
+    api::ShardedDeviceConfig cfg;
     cfg.device.k = 100; // cheap queries -> many completions/point
-    cfg.live.termBoundHint = kVocab;
-    cfg.live.maxBufferedDocs = 512;
-    cfg.live.maxSegments = 4;
-    cfg.live.mergeFanIn = 4;
-    cfg.live.mergerPollMs = 2;
-    auto device = std::make_unique<api::LiveDevice>(cfg);
+    auto device = std::make_unique<api::ShardedDevice>(cfg);
+    index::segments::LiveIndexConfig live;
+    live.termBoundHint = kVocab;
+    live.maxBufferedDocs = 512;
+    live.maxSegments = 4;
+    live.mergeFanIn = 4;
+    live.mergerPollMs = 2;
+    device->loadLiveIndex(live);
     Rng rng(0x1A6E57);
     for (std::uint32_t d = 0; d < kSeedDocs; ++d)
         device->live().append(syntheticDoc(rng));
@@ -170,7 +172,6 @@ makeDevice(bool merges)
     // is about merges *during* the measurement, not a worse seed.
     while (device->live().mergeOnce()) {
     }
-    (void)merges;
     return device;
 }
 
@@ -197,9 +198,9 @@ runPoint(const std::vector<workload::Query> &queries,
          double queryQps, double ingestRate, bool merges,
          std::uint64_t seed)
 {
-    auto device = makeDevice(merges);
+    auto device = makeDevice();
     auto &live = device->live();
-    serve::LiveBackend backend(*device);
+    serve::ShardedBackend backend(*device);
     IngestLoad ingest(live, ingestRate, seed);
 
     // Counter baselines: the seed bake/compaction isn't part of
@@ -252,8 +253,8 @@ main()
     // changes are attributable to ingest, not load.
     double capacity;
     {
-        auto device = makeDevice(false);
-        serve::LiveBackend backend(*device);
+        auto device = makeDevice();
+        serve::ShardedBackend backend(*device);
         serve::ServeConfig cfg;
         cfg.arrivals.qps = 5e6;
         cfg.arrivals.count = 1500;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <mutex>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -11,30 +10,85 @@
 namespace boss::api
 {
 
+struct ShardedDevice::Partitions
+{
+    /** One index partition on its own simulated device. */
+    struct Partition
+    {
+        std::unique_ptr<accel::Device> device;
+        DocId base = 0; ///< added to local docIDs (shards)
+        /** Local-to-global docIDs (live segments); null for shards. */
+        const std::vector<DocId> *globalIds = nullptr;
+    };
+
+    /** byDevice[d]: the partitions device d scans in turn. */
+    std::vector<std::vector<Partition>> byDevice;
+    /** Pins a live epoch's views, tombstones and id tables. */
+    index::segments::Snapshot snapshot;
+};
+
 namespace
 {
 
-/** Plan a whole batch once (the lexicon is shard-replicated). */
-std::vector<engine::QueryPlan>
-batchPlans(accel::Device &dev,
-           const std::vector<workload::Query> &queries)
+using Partition = ShardedDevice::Partitions::Partition;
+
+/**
+ * A device's partitions share its fault schedule (the schedule keys
+ * on the device), so they are up or down together.
+ */
+bool
+operational(const std::vector<Partition> &device)
 {
-    std::vector<engine::QueryPlan> plans;
-    plans.reserve(queries.size());
-    for (const auto &q : queries)
-        plans.push_back(dev.plan(q));
-    return plans;
+    return device.empty() || device.front().device->operational();
 }
 
-std::vector<engine::QueryPlan>
-batchPlans(accel::Device &dev,
-           const std::vector<std::string> &qExpressions)
+/** Calls fn(partition, deviceUp) for every partition in slot order. */
+template <typename Fn>
+void
+forEachPartition(const ShardedDevice::Partitions &parts, Fn &&fn)
 {
-    std::vector<engine::QueryPlan> plans;
-    plans.reserve(qExpressions.size());
-    for (const auto &q : qExpressions)
-        plans.push_back(dev.plan(q));
-    return plans;
+    for (const auto &device : parts.byDevice) {
+        const bool up = operational(device);
+        for (const Partition &p : device)
+            fn(p, up);
+    }
+}
+
+/**
+ * A live epoch's views size their list tables to its term bound, and
+ * the engine's list lookup is unchecked.
+ */
+void
+checkTerms(const ShardedDevice::Partitions &parts,
+           const engine::QueryPlan &plan)
+{
+    if (!parts.snapshot)
+        return;
+    for (TermId t : plan.allTerms) {
+        BOSS_ASSERT(t < parts.snapshot->termBound(), "query term ", t,
+                    " outside epoch term bound ",
+                    parts.snapshot->termBound());
+    }
+}
+
+/** Adds every work and traffic counter of @p b except cycles. */
+void
+addCounters(trace::QuerySummary &a, const trace::QuerySummary &b)
+{
+    a.blocksLoaded += b.blocksLoaded;
+    a.blocksSkipped += b.blocksSkipped;
+    a.valuesDecoded += b.valuesDecoded;
+    a.normsFetched += b.normsFetched;
+    a.docsScored += b.docsScored;
+    a.docsSkipped += b.docsSkipped;
+    a.topkInserts += b.topkInserts;
+    a.resultBytes += b.resultBytes;
+    a.crcRetries += b.crcRetries;
+    a.blocksDropped += b.blocksDropped;
+    for (std::size_t c = 0; c < trace::kNumTrafficClasses; ++c) {
+        a.classBytes[c] += b.classBytes[c];
+        a.classAccesses[c] += b.classAccesses[c];
+    }
 }
 
 } // namespace
@@ -47,23 +101,50 @@ ShardedDevice::ShardedDevice(ShardedDeviceConfig config)
 
 ShardedDevice::~ShardedDevice() = default;
 
+std::unique_ptr<accel::Device>
+ShardedDevice::makeDevice(std::uint32_t device,
+                          const std::string &label) const
+{
+    accel::DeviceConfig cfg = config_.device;
+    cfg.label = label;
+    cfg.deviceId = device;
+    auto dev = std::make_unique<accel::Device>(cfg);
+    // Observability settings may be toggled before the partitions
+    // exist (the CLI configures the stack before loading an index).
+    dev->setRecorder(recorder_);
+    dev->enableQuerySummaries(summariesEnabled_);
+    dev->enableStatsCapture(statsCaptureEnabled_);
+    return dev;
+}
+
+template <typename Load>
+void
+ShardedDevice::placeShards(index::ShardMap map, Load &&load)
+{
+    // Free the previous load before building the next.
+    parts_.reset();
+    live_.reset();
+    auto parts = std::make_shared<Partitions>();
+    for (std::uint32_t s = 0; s < map.numShards(); ++s) {
+        Partition p;
+        p.device = makeDevice(s, "shard" + std::to_string(s));
+        p.base = map.docBase(s);
+        load(*p.device, s);
+        parts->byDevice.emplace_back().push_back(std::move(p));
+    }
+    map_ = std::move(map);
+    numDevices_ = map_.numShards();
+    parts_ = std::move(parts);
+}
+
 void
 ShardedDevice::loadShards(index::IndexShards shards)
 {
     BOSS_ASSERT(shards.map.numShards() == shards.shards.size(),
                 "shard map / shard count mismatch");
-    map_ = shards.map;
-    devices_.clear();
-    tombstones_.clear();
-    for (std::size_t s = 0; s < shards.shards.size(); ++s) {
-        accel::DeviceConfig cfg = config_.device;
-        cfg.label = "shard" + std::to_string(s);
-        cfg.deviceId = static_cast<std::uint32_t>(s);
-        devices_.push_back(std::make_unique<accel::Device>(cfg));
-        applyObservability(*devices_.back());
-        devices_.back()->loadIndex(std::move(shards.shards[s]));
-    }
-    config_.shards = static_cast<std::uint32_t>(devices_.size());
+    placeShards(shards.map, [&](accel::Device &dev, std::uint32_t s) {
+        dev.loadIndex(std::move(shards.shards[s]));
+    });
 }
 
 void
@@ -75,20 +156,22 @@ ShardedDevice::loadIndex(const index::InvertedIndex &global)
 void
 ShardedDevice::loadTextIndex(index::TextIndex ti)
 {
-    index::IndexShards shards =
-        index::shardIndex(ti.index, config_.shards);
-    map_ = shards.map;
-    devices_.clear();
-    tombstones_.clear();
-    for (std::size_t s = 0; s < shards.shards.size(); ++s) {
-        accel::DeviceConfig cfg = config_.device;
-        cfg.label = "shard" + std::to_string(s);
-        cfg.deviceId = static_cast<std::uint32_t>(s);
-        devices_.push_back(std::make_unique<accel::Device>(cfg));
-        applyObservability(*devices_.back());
-        devices_.back()->loadTextIndex(
-            {std::move(shards.shards[s]), ti.lexicon});
+    // One shard is the loaded index itself: re-sharding would decode
+    // and re-encode every list for nothing.
+    index::IndexShards shards;
+    if (config_.shards == 1) {
+        shards.map = index::ShardMap(ti.index.numDocs(), 1);
+        shards.shards.push_back(std::move(ti.index));
+    } else {
+        shards = index::shardIndex(ti.index, config_.shards);
     }
+    const std::uint32_t last = config_.shards - 1;
+    placeShards(shards.map, [&](accel::Device &dev, std::uint32_t s) {
+        // Every shard resolves words; the last takes the lexicon.
+        dev.loadTextIndex({std::move(shards.shards[s]),
+                           s == last ? std::move(ti.lexicon)
+                                     : index::Lexicon(ti.lexicon)});
+    });
 }
 
 void
@@ -98,80 +181,202 @@ ShardedDevice::loadTextIndexFile(const std::string &path)
 }
 
 void
-ShardedDevice::deleteDocs(const std::vector<DocId> &globalDocs)
+ShardedDevice::loadMappedTextIndexFile(const std::string &path)
 {
-    BOSS_ASSERT(!devices_.empty(), "deleteDocs() before loadShards()");
-    if (tombstones_.size() != devices_.size()) {
-        tombstones_.assign(devices_.size(), nullptr);
-        for (std::size_t s = 0; s < devices_.size(); ++s) {
-            tombstones_[s] = std::make_shared<index::TombstoneSet>(
-                devices_[s]->index().numDocs());
-        }
+    BOSS_ASSERT(config_.shards == 1,
+                "mmap loads need one shard: re-sharding decodes mapped "
+                "payloads without checking their block CRCs");
+    placeShards(index::ShardMap(0, 1),
+                [&](accel::Device &dev, std::uint32_t) {
+                    dev.loadMappedTextIndexFile(path);
+                });
+    map_ = index::ShardMap(shard(0).index().numDocs(), 1);
+}
+
+index::segments::LiveIndex &
+ShardedDevice::loadLiveIndex(index::segments::LiveIndexConfig config)
+{
+    parts_.reset();
+    live_ = std::make_unique<index::segments::LiveIndex>(
+        std::move(config));
+    map_ = {};
+    numDevices_ = 1;
+    return *live_;
+}
+
+index::segments::LiveIndex &
+ShardedDevice::live()
+{
+    BOSS_ASSERT(live_ != nullptr, "live() without loadLiveIndex()");
+    return *live_;
+}
+
+accel::Device &
+ShardedDevice::shard(std::uint32_t s)
+{
+    BOSS_ASSERT(live_ == nullptr && parts_ != nullptr &&
+                    s < parts_->byDevice.size(),
+                "no shard ", s, " loaded");
+    return *parts_->byDevice[s].front().device;
+}
+
+const std::vector<trace::QuerySummary> &
+ShardedDevice::shardSummaries(std::uint32_t s) const
+{
+    return parts_->byDevice.at(s).front().device->querySummaries();
+}
+
+std::shared_ptr<const ShardedDevice::Partitions>
+ShardedDevice::partitions()
+{
+    if (live_ == nullptr) {
+        BOSS_ASSERT(parts_ != nullptr, "search before a load");
+        return parts_;
     }
-    for (DocId g : globalDocs) {
-        if (g >= map_.numDocs())
+    // Pin the snapshot under the lock: taken outside, a thread that
+    // raced with a publish could replace a newer cached epoch with an
+    // older one and force a needless rebuild.
+    std::lock_guard<std::mutex> lock(partsMutex_);
+    index::segments::Snapshot snap = live_->snapshot();
+    BOSS_ASSERT(static_cast<bool>(snap),
+                "live index has no published epoch");
+    if (parts_ != nullptr && parts_->snapshot->epoch() == snap->epoch())
+        return parts_;
+
+    // One device scans the epoch's segments; each segment device
+    // shares the epoch's rebaked view (no index copies).
+    auto parts = std::make_shared<Partitions>();
+    auto &segments = parts->byDevice.emplace_back();
+    for (const auto &reader : snap->segments()) {
+        Partition p;
+        p.device = makeDevice(
+            0, "shard0/seg" + std::to_string(reader.segment->id()));
+        p.device->loadSharedIndex(reader.view);
+        p.device->setTombstones(reader.tombstones);
+        p.globalIds = &reader.segment->source().globalIds;
+        segments.push_back(std::move(p));
+    }
+    parts->snapshot = std::move(snap);
+    parts_ = std::move(parts);
+    return parts_;
+}
+
+ShardedOutcome
+ShardedDevice::merge(const Partitions &parts,
+                     std::vector<accel::SearchOutcome> perPartition,
+                     std::size_t nQueries) const
+{
+    ShardedOutcome out;
+    out.perQuery.resize(nQueries);
+    out.shardSeconds.assign(parts.byDevice.size(), 0.0);
+    // lists[q][p]: query q's top-k on partition p in global docIDs,
+    // gathered in partition order whatever the replay completion
+    // order, so the merge is deterministic.
+    std::vector<std::vector<std::vector<engine::Result>>> lists(
+        nQueries);
+    std::size_t slot = 0;
+    for (std::uint32_t d = 0; d < parts.byDevice.size(); ++d) {
+        const std::vector<Partition> &device = parts.byDevice[d];
+        if (!operational(device)) {
+            // Dead device: dropped from the merge entirely. Queries
+            // still complete over the survivors, with the partial
+            // coverage flagged in the outcome.
+            out.deadShards.push_back(d);
+            slot += device.size();
             continue;
-        const std::uint32_t s = map_.shardOf(g);
-        tombstones_[s]->markDeleted(map_.toLocal(s, g));
+        }
+        for (const Partition &part : device) {
+            accel::SearchOutcome &res = perPartition[slot++];
+            BOSS_ASSERT(res.perQuery.size() == nQueries, "partition ",
+                        slot - 1, " returned ", res.perQuery.size(),
+                        " result lists for ", nQueries, " queries");
+            for (std::size_t q = 0; q < nQueries; ++q) {
+                for (engine::Result &r : res.perQuery[q]) {
+                    r.doc = part.globalIds != nullptr
+                                ? (*part.globalIds)[r.doc]
+                                : r.doc + part.base;
+                }
+                lists[q].push_back(std::move(res.perQuery[q]));
+            }
+            // The time rule: a device scans its partitions in turn,
+            // the devices run concurrently. Counters simply add.
+            out.shardSeconds[d] += res.simSeconds;
+            out.deviceBytes += res.deviceBytes;
+            out.evaluatedDocs += res.evaluatedDocs;
+            out.skippedDocs += res.skippedDocs;
+            out.crcRetries += res.crcRetries;
+            out.blocksDropped += res.blocksDropped;
+            out.dramBytes += res.dramBytes;
+            out.cacheLookups += res.cacheLookups;
+            out.cacheHits += res.cacheHits;
+            out.cacheMisses += res.cacheMisses;
+            out.cacheEvictions += res.cacheEvictions;
+        }
+        out.simSeconds = std::max(out.simSeconds, out.shardSeconds[d]);
     }
-    for (std::size_t s = 0; s < devices_.size(); ++s)
-        devices_[s]->setTombstones(tombstones_[s]);
+    out.shardsDropped = out.deadShards.size();
+    if (out.deadShards.size() == parts.byDevice.size())
+        BOSS_FATAL("fault spec declares all ", parts.byDevice.size(),
+                   " shards dead; no shard can serve queries");
+
+    for (std::size_t q = 0; q < nQueries; ++q)
+        out.perQuery[q] = engine::mergeTopK(lists[q], config_.device.k);
+    if (!out.perQuery.empty())
+        out.topk = out.perQuery.back();
+    return out;
 }
 
 template <typename Batch>
 ShardedOutcome
-ShardedDevice::runBatch(const Batch &batch, std::size_t nQueries)
+ShardedDevice::runBatch(const Batch &batch)
 {
-    BOSS_ASSERT(!devices_.empty(), "search before loadShards()");
+    const std::shared_ptr<const Partitions> parts = partitions();
+    // Plan once: every partition resolves terms identically.
+    std::vector<engine::QueryPlan> plans;
+    plans.reserve(batch.size());
+    for (const auto &q : batch) {
+        plans.push_back(plan(q));
+        checkTerms(*parts, plans.back());
+    }
+    const std::size_t nQueries = plans.size();
+    // Every partition's device, null where its device is down.
+    std::vector<accel::Device *> devices;
+    forEachPartition(*parts, [&](const Partition &p, bool up) {
+        devices.push_back(up ? p.device.get() : nullptr);
+    });
 
-    ShardedOutcome out;
-    out.perQuery.resize(nQueries);
-    out.shardSeconds.assign(devices_.size(), 0.0);
-
-    // Shard builds dispatch one at a time: each shard's trace
-    // building fans out over the shared host pool (which is not
-    // reentrant), so the host is already saturated per shard. The
-    // serial replay of a completed shard, however, occupies only one
-    // thread — with no recorder attached it is posted to a pool
-    // worker so the next shard's build overlaps it. Replay is
-    // timing-only (results come from the builds) and each posted
-    // task touches only its own device and outcome slot, so results
-    // stay bit-identical to the sequential loop. Recorder runs keep
-    // the sequential path: replay registers trace lanes, which is
-    // not thread-safe.
+    // Partition builds dispatch one at a time: each build fans out
+    // over the shared host pool (which is not reentrant), so the host
+    // is already saturated per partition. The serial replay of a
+    // completed partition, however, occupies only one thread — with
+    // no recorder attached it is posted to a pool worker so the next
+    // partition's build overlaps it. Replay is timing-only (results
+    // come from the builds) and each posted task touches only its own
+    // device and outcome slot, so results stay bit-identical to the
+    // sequential loop. Recorder runs keep the sequential path: replay
+    // registers trace lanes, which is not thread-safe.
     common::ThreadPool &pool = common::ThreadPool::global();
-    const bool overlap = recorder_ == nullptr && devices_.size() > 1;
+    const bool overlap = recorder_ == nullptr && devices.size() > 1;
 
-    std::vector<accel::SearchOutcome> shardOut(devices_.size());
+    std::vector<accel::SearchOutcome> perPartition(devices.size());
     std::mutex doneMutex;
     std::condition_variable doneCv;
     std::size_t pendingReplays = 0;
     std::exception_ptr replayError;
     std::exception_ptr buildError;
 
-    std::vector<engine::QueryPlan> plans;
-    for (std::size_t s = 0; s < devices_.size(); ++s) {
-        if (!devices_[s]->operational()) {
-            // Dead shard: dropped from the merge entirely. Queries
-            // still complete over the surviving shards, with the
-            // partial coverage flagged in the outcome.
-            out.deadShards.push_back(static_cast<std::uint32_t>(s));
+    for (std::size_t p = 0; p < devices.size(); ++p) {
+        accel::Device *dev = devices[p];
+        if (dev == nullptr)
             continue;
-        }
         if (!overlap) {
-            shardOut[s] = devices_[s]->searchBatch(batch);
+            perPartition[p] = dev->searchBatch(plans);
             continue;
         }
         try {
-            // Expressions resolve identically on every shard (the
-            // lexicon is replicated), so the batch is planned once
-            // on the first live shard.
-            if (plans.empty())
-                plans = batchPlans(*devices_[s], batch);
             std::vector<accel::BuiltQuery> runs(nQueries);
             if (arenas_.size() < pool.size())
                 arenas_.resize(pool.size());
-            accel::Device *dev = devices_[s].get();
             pool.parallelFor(
                 nQueries, [&](std::size_t i, std::size_t worker) {
                     runs[i] =
@@ -184,9 +389,10 @@ ShardedDevice::runBatch(const Batch &batch, std::size_t nQueries)
                 std::lock_guard<std::mutex> lock(doneMutex);
                 ++pendingReplays;
             }
-            pool.post([&, dev, s, group](std::size_t) {
+            pool.post([&, dev, p, group](std::size_t) {
                 try {
-                    shardOut[s] = dev->replayBuilt(std::move(*group));
+                    perPartition[p] =
+                        dev->replayBuilt(std::move(*group));
                 } catch (...) {
                     std::lock_guard<std::mutex> lock(doneMutex);
                     if (replayError == nullptr)
@@ -218,102 +424,55 @@ ShardedDevice::runBatch(const Batch &batch, std::size_t nQueries)
     }
     if (buildError != nullptr)
         std::rethrow_exception(buildError);
-
-    // Per-query scatter lists: perShard[q][s] is query q's top-k on
-    // shard s, already rebased to global docIDs. Assembled in shard
-    // order regardless of replay completion order, so the merge is
-    // deterministic.
-    std::vector<std::vector<std::vector<engine::Result>>> perShard(
-        nQueries);
-    for (std::size_t s = 0; s < devices_.size(); ++s) {
-        if (!devices_[s]->operational())
-            continue;
-        accel::SearchOutcome &res = shardOut[s];
-        BOSS_ASSERT(res.perQuery.size() == nQueries,
-                    "shard ", s, " returned ", res.perQuery.size(),
-                    " result lists for ", nQueries, " queries");
-        const DocId base = map_.docBase(static_cast<std::uint32_t>(s));
-        for (std::size_t q = 0; q < nQueries; ++q) {
-            for (auto &r : res.perQuery[q])
-                r.doc += base;
-            perShard[q].push_back(std::move(res.perQuery[q]));
-        }
-        // Devices are independent: the batch completes when the
-        // slowest shard does, while traffic and work counters sum.
-        out.shardSeconds[s] = res.simSeconds;
-        out.simSeconds = std::max(out.simSeconds, res.simSeconds);
-        out.deviceBytes += res.deviceBytes;
-        out.evaluatedDocs += res.evaluatedDocs;
-        out.skippedDocs += res.skippedDocs;
-        out.crcRetries += res.crcRetries;
-        out.blocksDropped += res.blocksDropped;
-    }
-    out.shardsDropped = out.deadShards.size();
-    if (out.deadShards.size() == devices_.size())
-        BOSS_FATAL("fault spec declares all ", devices_.size(),
-                   " shards dead; no shard can serve queries");
-
-    for (std::size_t q = 0; q < nQueries; ++q)
-        out.perQuery[q] =
-            engine::mergeTopK(perShard[q], config_.device.k);
-    if (!out.perQuery.empty())
-        out.topk = out.perQuery.back();
-    return out;
+    return merge(*parts, std::move(perPartition), nQueries);
 }
 
 ShardedDevice::Built
 ShardedDevice::buildQuery(const engine::QueryPlan &plan,
-                          engine::QueryArena &arena) const
+                          engine::QueryArena &arena)
 {
-    BOSS_ASSERT(!devices_.empty(), "buildQuery before loadShards()");
     Built built;
-    built.perShard.resize(devices_.size());
-    for (std::size_t s = 0; s < devices_.size(); ++s) {
-        if (!devices_[s]->operational())
-            continue; // dead shard: empty slot, dropped at finish
-        built.perShard[s] = devices_[s]->buildQuery(plan, arena);
-    }
+    built.partitions = partitions();
+    checkTerms(*built.partitions, plan);
+    forEachPartition(*built.partitions,
+                     [&](const Partition &p, bool up) {
+                         // A dead device's partitions keep empty
+                         // slots, dropped at finish.
+                         built.perPartition.push_back(
+                             up ? p.device->buildQuery(plan, arena)
+                                : accel::BuiltQuery{});
+                     });
     return built;
 }
 
 ShardedOutcome
 ShardedDevice::finishBuilt(Built built)
 {
-    BOSS_ASSERT(built.perShard.size() == devices_.size(),
-                "built query spans ", built.perShard.size(),
-                " shards, device has ", devices_.size());
-    ShardedOutcome out;
-    out.shardSeconds.assign(devices_.size(), 0.0);
-    std::vector<std::vector<engine::Result>> perShard;
-    for (std::size_t s = 0; s < devices_.size(); ++s) {
-        if (!devices_[s]->operational()) {
-            out.deadShards.push_back(static_cast<std::uint32_t>(s));
-            continue;
-        }
-        std::vector<accel::BuiltQuery> group;
-        group.push_back(std::move(built.perShard[s]));
-        accel::SearchOutcome res =
-            devices_[s]->replayBuilt(std::move(group));
-        const DocId base = map_.docBase(static_cast<std::uint32_t>(s));
-        for (auto &r : res.perQuery[0])
-            r.doc += base;
-        perShard.push_back(std::move(res.perQuery[0]));
-        out.shardSeconds[s] = res.simSeconds;
-        out.simSeconds = std::max(out.simSeconds, res.simSeconds);
-        out.deviceBytes += res.deviceBytes;
-        out.evaluatedDocs += res.evaluatedDocs;
-        out.skippedDocs += res.skippedDocs;
-        out.crcRetries += res.crcRetries;
-        out.blocksDropped += res.blocksDropped;
+    std::vector<accel::SearchOutcome> perPartition;
+    perPartition.reserve(built.perPartition.size());
+    std::size_t slot = 0;
+    forEachPartition(*built.partitions,
+                     [&](const Partition &p, bool up) {
+                         std::vector<accel::BuiltQuery> one;
+                         one.push_back(
+                             std::move(built.perPartition[slot++]));
+                         perPartition.push_back(
+                             up ? p.device->replayBuilt(std::move(one))
+                                : accel::SearchOutcome{});
+                     });
+    return merge(*built.partitions, std::move(perPartition), 1);
+}
+
+engine::QueryPlan
+ShardedDevice::plan(const std::string &qExpression)
+{
+    // A text load replicates its lexicon on every shard; live
+    // segments carry none, so the synthetic t<N> names apply.
+    if (live_ != nullptr) {
+        return engine::planQuery(engine::parseExpression(
+            qExpression, engine::defaultTermResolver));
     }
-    out.shardsDropped = out.deadShards.size();
-    if (out.deadShards.size() == devices_.size())
-        BOSS_FATAL("fault spec declares all ", devices_.size(),
-                   " shards dead; no shard can serve queries");
-    out.perQuery.push_back(
-        engine::mergeTopK(perShard, config_.device.k));
-    out.topk = out.perQuery.back();
-    return out;
+    return shard(0).plan(qExpression);
 }
 
 ShardedOutcome
@@ -331,98 +490,90 @@ ShardedDevice::search(const std::string &qExpression)
 ShardedOutcome
 ShardedDevice::searchBatch(const std::vector<workload::Query> &queries)
 {
-    return runBatch(queries, queries.size());
+    return runBatch(queries);
 }
 
 ShardedOutcome
 ShardedDevice::searchBatch(
     const std::vector<std::string> &qExpressions)
 {
-    return runBatch(qExpressions, qExpressions.size());
+    return runBatch(qExpressions);
 }
 
 void
 ShardedDevice::setRecorder(trace::Recorder *recorder)
 {
     recorder_ = recorder;
-    for (auto &dev : devices_)
-        dev->setRecorder(recorder);
+    if (parts_ != nullptr) {
+        forEachPartition(*parts_, [&](const Partition &p, bool) {
+            p.device->setRecorder(recorder);
+        });
+    }
 }
 
 void
 ShardedDevice::enableQuerySummaries(bool enabled)
 {
     summariesEnabled_ = enabled;
-    for (auto &dev : devices_)
-        dev->enableQuerySummaries(enabled);
+    if (parts_ != nullptr) {
+        forEachPartition(*parts_, [&](const Partition &p, bool) {
+            p.device->enableQuerySummaries(enabled);
+        });
+    }
 }
 
 void
 ShardedDevice::enableStatsCapture(bool enabled)
 {
     statsCaptureEnabled_ = enabled;
-    for (auto &dev : devices_)
-        dev->enableStatsCapture(enabled);
-}
-
-void
-ShardedDevice::applyObservability(accel::Device &dev)
-{
-    // Observability settings may be toggled before the shards exist
-    // (the CLI configures the stack before loading an index);
-    // (re)apply them to every freshly created device.
-    dev.setRecorder(recorder_);
-    dev.enableQuerySummaries(summariesEnabled_);
-    dev.enableStatsCapture(statsCaptureEnabled_);
+    if (parts_ != nullptr) {
+        forEachPartition(*parts_, [&](const Partition &p, bool) {
+            p.device->enableStatsCapture(enabled);
+        });
+    }
 }
 
 std::vector<trace::QuerySummary>
 ShardedDevice::aggregatedSummaries() const
 {
     std::vector<trace::QuerySummary> agg;
-    if (devices_.empty())
+    if (parts_ == nullptr)
         return agg;
-    // Dead shards ran nothing and have no summaries; aggregation
+    // Dead devices ran nothing and have no summaries; aggregation
     // walks the survivors and stamps the drop count on every record.
     std::uint64_t dead = 0;
-    std::size_t first = devices_.size();
-    for (std::size_t s = 0; s < devices_.size(); ++s) {
-        if (!devices_[s]->operational()) {
+    bool first = true;
+    for (const std::vector<Partition> &device : parts_->byDevice) {
+        if (!operational(device)) {
             ++dead;
-        } else if (first == devices_.size()) {
-            first = s;
-        }
-    }
-    if (first == devices_.size())
-        return agg;
-    agg = devices_[first]->querySummaries();
-    for (std::size_t s = first + 1; s < devices_.size(); ++s) {
-        if (!devices_[s]->operational())
             continue;
-        const auto &shard = devices_[s]->querySummaries();
-        BOSS_ASSERT(shard.size() == agg.size(),
-                    "shard ", s, " summary count mismatch");
-        for (std::size_t q = 0; q < shard.size(); ++q) {
-            trace::QuerySummary &a = agg[q];
-            const trace::QuerySummary &b = shard[q];
-            // The devices run concurrently: the query's latency is
-            // its slowest shard; all work/traffic counters add up.
-            a.cycles = std::max(a.cycles, b.cycles);
-            a.blocksLoaded += b.blocksLoaded;
-            a.blocksSkipped += b.blocksSkipped;
-            a.valuesDecoded += b.valuesDecoded;
-            a.normsFetched += b.normsFetched;
-            a.docsScored += b.docsScored;
-            a.docsSkipped += b.docsSkipped;
-            a.topkInserts += b.topkInserts;
-            a.resultBytes += b.resultBytes;
-            a.crcRetries += b.crcRetries;
-            a.blocksDropped += b.blocksDropped;
-            for (std::size_t c = 0; c < trace::kNumTrafficClasses;
-                 ++c) {
-                a.classBytes[c] += b.classBytes[c];
-                a.classAccesses[c] += b.classAccesses[c];
+        }
+        // The time rule, per query: a device's partitions add up...
+        std::vector<trace::QuerySummary> sum;
+        for (const Partition &p : device) {
+            const auto &part = p.device->querySummaries();
+            if (&p == &device.front()) {
+                sum = part;
+                continue;
             }
+            BOSS_ASSERT(part.size() == sum.size(),
+                        "partition summary count mismatch");
+            for (std::size_t q = 0; q < part.size(); ++q) {
+                sum[q].cycles += part[q].cycles;
+                addCounters(sum[q], part[q]);
+            }
+        }
+        if (first) {
+            agg = std::move(sum);
+            first = false;
+            continue;
+        }
+        // ...and the slowest device sets the latency.
+        BOSS_ASSERT(sum.size() == agg.size(),
+                    "device summary count mismatch");
+        for (std::size_t q = 0; q < sum.size(); ++q) {
+            agg[q].cycles = std::max(agg[q].cycles, sum[q].cycles);
+            addCounters(agg[q], sum[q]);
         }
     }
     for (auto &a : agg)
@@ -433,22 +584,27 @@ ShardedDevice::aggregatedSummaries() const
 void
 ShardedDevice::writeStatsJson(std::ostream &os) const
 {
-    os << "{\n\"shards\": " << devices_.size() << ",\n";
+    os << "{\n\"shards\": " << numDevices_ << ",\n";
     os << "\"doc_bases\": [";
     for (std::uint32_t s = 0; s < map_.numShards(); ++s)
         os << (s ? ", " : "") << map_.docBase(s);
     os << "],\n\"dead_shards\": [";
-    bool firstDead = true;
-    for (std::size_t s = 0; s < devices_.size(); ++s) {
-        if (devices_[s]->operational())
-            continue;
-        os << (firstDead ? "" : ", ") << s;
-        firstDead = false;
+    if (parts_ != nullptr) {
+        bool firstDead = true;
+        for (std::size_t d = 0; d < parts_->byDevice.size(); ++d) {
+            if (operational(parts_->byDevice[d]))
+                continue;
+            os << (firstDead ? "" : ", ") << d;
+            firstDead = false;
+        }
     }
     os << "]";
-    for (std::size_t s = 0; s < devices_.size(); ++s) {
-        os << ",\n\"shard_" << s << "\":\n";
-        devices_[s]->writeStatsJson(os);
+    if (parts_ != nullptr) {
+        std::size_t slot = 0;
+        forEachPartition(*parts_, [&](const Partition &p, bool) {
+            os << ",\n\"shard_" << slot++ << "\":\n";
+            p.device->writeStatsJson(os);
+        });
     }
     os << "}\n";
 }

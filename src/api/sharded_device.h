@@ -1,27 +1,43 @@
 /**
  * @file
- * Host-side scatter/merge over N simulated BOSS devices.
+ * The partitioned searcher: host-side scatter/merge over a group of
+ * simulated BOSS devices.
  *
- * A ShardedDevice owns one accel::Device per index shard (document
- * partition, see index/sharding.h). Each query is scattered to every
- * shard, runs the full per-device hardware top-k there, and the
- * per-shard heaps are merged on the host into the global top-k after
- * rebasing local docIDs to global ones. Because every shard runs the
- * same k and stores globally-normalized scores, the merge is exact:
- * results are bit-identical to a single device holding the whole
- * corpus, tie-breaks (score desc, global docID asc) included.
+ * A ShardedDevice is a group of devices, each of which scans one or
+ * more index partitions in turn. The partitions come from one of two
+ * sources:
+ *
+ *  - a shard load (loadShards, loadIndex, loadTextIndex...): one
+ *    document-partitioned shard per device (index/sharding.h), local
+ *    docIDs rebased by the shard's base;
+ *  - a live index (loadLiveIndex): one device whose partitions are
+ *    the current epoch's segments (index/segments/), local docIDs
+ *    mapped through each segment's global-id table.
+ *
+ * Every query runs the full per-partition hardware top-k, and the
+ * per-partition heaps are merged on the host after the docID map.
+ * Because every partition runs the same k and stores globally
+ * normalized scores, the merge is exact: results are bit-identical
+ * to a single device holding the whole corpus, tie-breaks (score
+ * desc, global docID asc) included.
+ *
+ * Modeled time follows one rule: devices run concurrently and each
+ * scans its partitions serially, so a query (or batch) takes the
+ * maximum over devices of the sum over that device's partitions —
+ * the slowest shard for a shard load, the segment sum for a live one.
  */
 
 #ifndef BOSS_API_SHARDED_DEVICE_H
 #define BOSS_API_SHARDED_DEVICE_H
 
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "boss/device.h"
-#include "common/logging.h"
+#include "index/segments/live_index.h"
 #include "index/sharding.h"
 
 namespace boss::api
@@ -32,7 +48,7 @@ struct ShardedDeviceConfig
 {
     std::uint32_t shards = 1;
     /**
-     * Template for every shard's device (cores, memory, k, kind).
+     * Template for every partition's device (cores, memory, k, kind).
      * The label is overridden per shard ("shard0", "shard1", ...)
      * so trace lanes stay distinguishable in merged timelines.
      */
@@ -40,30 +56,21 @@ struct ShardedDeviceConfig
 };
 
 /**
- * Result of one sharded search. Per-query results carry global
- * docIDs; counters aggregate over shards. The shards are modeled as
- * running concurrently (one device each), so the simulated batch
- * time is the slowest shard's makespan while traffic counters sum.
+ * Result of one partitioned search. Per-query results carry global
+ * docIDs; simSeconds follows the time rule above, while traffic, work
+ * and cache counters sum over partitions.
  */
-struct ShardedOutcome
+struct ShardedOutcome : accel::SearchOutcome
 {
-    std::vector<engine::Result> topk; ///< last query (cf. Device)
-    std::vector<std::vector<engine::Result>> perQuery;
-    double simSeconds = 0.0;       ///< max over shards
-    std::uint64_t deviceBytes = 0; ///< sum over shards
-    std::uint64_t evaluatedDocs = 0;
-    std::uint64_t skippedDocs = 0;
-    /** Per-shard simulated makespans (the scaling bench's input). */
+    /** Per-device simulated seconds (its partitions summed). */
     std::vector<double> shardSeconds;
     /**
-     * Shards that were down and contributed nothing: every query
+     * Devices that were down and contributed nothing: every query
      * completed, but with partial corpus coverage. Empty on healthy
      * runs (results then bit-identical to pre-resilience builds).
      */
     std::vector<std::uint32_t> deadShards;
     std::uint64_t shardsDropped = 0; ///< deadShards.size(), as counter
-    std::uint64_t crcRetries = 0;    ///< summed over live shards
-    std::uint64_t blocksDropped = 0; ///< summed over live shards
 };
 
 class ShardedDevice
@@ -81,45 +88,56 @@ class ShardedDevice
     /**
      * Shard a text index: the posting lists are partitioned while
      * every shard shares the (replicated) lexicon, so expression
-     * queries resolve identically on each device.
+     * queries resolve identically on each device. With one shard the
+     * index is placed as loaded, without re-encoding.
      */
     void loadTextIndex(index::TextIndex ti);
 
     /** Load and shard a text-index file (see loadTextIndex). */
     void loadTextIndexFile(const std::string &path);
 
-    std::uint32_t numShards() const
-    {
-        return static_cast<std::uint32_t>(devices_.size());
-    }
-    const index::ShardMap &map() const { return map_; }
-    accel::Device &shard(std::uint32_t s) { return *devices_[s]; }
+    /**
+     * mmap a text-index file onto the single device (see
+     * accel::Device::loadMappedTextIndexFile). Needs shards == 1:
+     * re-sharding decodes the mapped payloads without checking the
+     * per-block CRCs that the mapped load defers to first touch.
+     */
+    void loadMappedTextIndexFile(const std::string &path);
 
     /**
-     * Tombstone-delete documents by global docID across the shard
-     * group: every subsequent query filters them before its top-k.
-     * Lucene-style semantics — the baked BM25 statistics (idf,
-     * norms) are NOT recomputed, so surviving docs keep their
-     * original scores (the live index in index/segments/ is the
-     * restating path). Unknown or already-deleted ids are ignored.
-     * Not thread-safe against in-flight queries: call it quiescent.
+     * Serve a live index, which the searcher owns: one device whose
+     * partitions are the segments of the epoch current when each
+     * query is built. Expression queries use the synthetic t<N>
+     * term names.
      */
-    void deleteDocs(const std::vector<DocId> &globalDocs);
+    index::segments::LiveIndex &
+    loadLiveIndex(index::segments::LiveIndexConfig config);
 
-    /** Scatter one query to all shards and merge the top-k. */
+    /** The live index (loadLiveIndex only). */
+    index::segments::LiveIndex &live();
+
+    /** Device count (a live load has one). */
+    std::uint32_t numShards() const { return numDevices_; }
+    /** The shard partition (shard loads only). */
+    const index::ShardMap &map() const { return map_; }
+    /** The device holding shard @p s (shard loads only). */
+    accel::Device &shard(std::uint32_t s);
+
+    /** Scatter one query to all partitions and merge the top-k. */
     ShardedOutcome search(const workload::Query &query);
     ShardedOutcome search(const std::string &qExpression);
 
     /**
-     * Scatter a batch: each shard executes the whole batch through
-     * its own device (trace building fans out over the shared host
-     * thread pool), then each query's per-shard top-k lists are
-     * merged on the host. Shard builds are dispatched one at a time
-     * — the pool is not reentrant — but a completed shard's replay
-     * is posted to a pool worker, so shard s+1's trace build
-     * overlaps shard s's replay (with no recorder attached; replay
-     * lane registration is single-threaded, so trace-capture runs
-     * fall back to the sequential build→replay loop).
+     * Scatter a batch: each partition executes the whole batch
+     * through its own device (trace building fans out over the
+     * shared host thread pool), then each query's per-partition
+     * top-k lists are merged on the host. Partition builds are
+     * dispatched one at a time — the pool is not reentrant — but a
+     * completed partition's replay is posted to a pool worker, so
+     * partition p+1's trace build overlaps partition p's replay
+     * (with no recorder attached; replay lane registration is
+     * single-threaded, so trace-capture runs fall back to the
+     * sequential build→replay loop).
      */
     ShardedOutcome
     searchBatch(const std::vector<workload::Query> &queries);
@@ -133,86 +151,106 @@ class ShardedDevice
     {
         return engine::planQuery(query);
     }
-    engine::QueryPlan plan(const std::string &qExpression)
-    {
-        BOSS_ASSERT(!devices_.empty(), "plan() before loadShards()");
-        return devices_[0]->plan(qExpression);
-    }
+    engine::QueryPlan plan(const std::string &qExpression);
+
+    /** The partitions one query runs on; opaque to callers. */
+    struct Partitions;
 
     /**
-     * One query built on every live shard. Dead shards hold an
-     * empty slot and are dropped from the merge in finishBuilt().
+     * One query built on every partition of the live devices. Dead
+     * devices leave empty slots, dropped from the merge in
+     * finishBuilt(). Holding it keeps a live epoch's partitions (and
+     * pinned Version) alive across publishes.
      */
     struct Built
     {
-        std::vector<accel::BuiltQuery> perShard;
+        std::shared_ptr<const Partitions> partitions;
+        std::vector<accel::BuiltQuery> perPartition;
     };
 
     /**
-     * Stage 1 (thread-safe): build one query's traces on every live
-     * shard. Concurrent calls must pass distinct arenas.
+     * Stage 1 (thread-safe): build one query's traces on every
+     * partition. Concurrent calls must pass distinct arenas.
      */
     Built buildQuery(const engine::QueryPlan &plan,
-                     engine::QueryArena &arena) const;
+                     engine::QueryArena &arena);
 
     /**
-     * Stage 2 (serial): replay the per-shard builds on their device
-     * models, rebase local docIDs and merge the global top-k. The
-     * outcome carries exactly one perQuery entry.
+     * Stage 2 (serial): replay the per-partition builds on their
+     * device models, map local docIDs to global ones and merge the
+     * global top-k. The outcome carries exactly one perQuery entry.
      */
     ShardedOutcome finishBuilt(Built built);
 
     // ---- Observability (see boss/device.h) ----
 
     /**
-     * Attach one recorder observing every shard; per-shard lanes are
-     * named by the device labels ("shard0 (simulated ticks)", ...).
+     * Attach one recorder observing every partition; lanes are named
+     * by the device labels ("shard0 (simulated ticks)", ...).
      */
     void setRecorder(trace::Recorder *recorder);
 
-    /** Record per-query summaries on every shard. */
+    /** Record per-query summaries on every partition. */
     void enableQuerySummaries(bool enabled);
 
     /**
      * Host-level per-query aggregates for the last batch: work
-     * counters summed over shards, cycles = max over shards (the
-     * devices run concurrently; a query completes when its slowest
-     * shard does). Deterministic at any thread count.
+     * counters summed over partitions, cycles by the time rule.
+     * Deterministic at any thread count.
      */
     std::vector<trace::QuerySummary> aggregatedSummaries() const;
 
     /** Per-shard summaries of the last batch (local docID space). */
     const std::vector<trace::QuerySummary> &
-    shardSummaries(std::uint32_t s) const
-    {
-        return devices_[s]->querySummaries();
-    }
+    shardSummaries(std::uint32_t s) const;
 
-    /** Capture per-shard replay stats for writeStatsJson. */
+    /** Capture per-partition replay stats for writeStatsJson. */
     void enableStatsCapture(bool enabled);
 
     /**
-     * One JSON document with every shard's stats under "shard_<i>"
-     * keys plus the shard count and document partition.
+     * One JSON document with every partition's stats under
+     * "shard_<i>" keys (one per shard on a shard load) plus the
+     * shard count and document partition.
      */
     void writeStatsJson(std::ostream &os) const;
 
   private:
     template <typename Batch>
-    ShardedOutcome runBatch(const Batch &batch, std::size_t nQueries);
+    ShardedOutcome runBatch(const Batch &batch);
 
-    /** Re-apply sticky observability settings to a new device. */
-    void applyObservability(accel::Device &dev);
+    /** The current partitions (a live load's epoch, built lazily). */
+    std::shared_ptr<const Partitions> partitions();
+
+    /** A simulated device for a partition of device @p device. */
+    std::unique_ptr<accel::Device>
+    makeDevice(std::uint32_t device, const std::string &label) const;
+
+    /**
+     * Replace the current load with one device per shard of @p map,
+     * each filled by load(device, shard).
+     */
+    template <typename Load>
+    void placeShards(index::ShardMap map, Load &&load);
+
+    /**
+     * Map docIDs to global ones, combine the per-partition outcomes
+     * by the time rule and merge each query's top-k.
+     */
+    ShardedOutcome merge(const Partitions &parts,
+                         std::vector<accel::SearchOutcome> perPartition,
+                         std::size_t nQueries) const;
 
     ShardedDeviceConfig config_;
     index::ShardMap map_;
-    std::vector<std::unique_ptr<accel::Device>> devices_;
-    /** Per-shard delete bitmaps (created on first deleteDocs). */
-    std::vector<std::shared_ptr<index::TombstoneSet>> tombstones_;
+    std::uint32_t numDevices_ = 0;
+    std::unique_ptr<index::segments::LiveIndex> live_;
+    /** Static shards, or the cached partitions of a live epoch. */
+    std::shared_ptr<const Partitions> parts_;
+    std::mutex partsMutex_; ///< guards parts_ on a live load
     /** Per-worker decode scratch for the pipelined batch path. */
     std::vector<engine::QueryArena> arenas_;
     // Observability settings outlive reloads (and may be set before
-    // the first load creates the per-shard devices).
+    // the first load creates the per-partition devices).
     trace::Recorder *recorder_ = nullptr;
     bool summariesEnabled_ = false;
     bool statsCaptureEnabled_ = false;

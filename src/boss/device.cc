@@ -423,4 +423,10 @@ Device::searchBatch(const std::vector<std::string> &qExpressions)
     return runPlans(plans);
 }
 
+SearchOutcome
+Device::searchBatch(const std::vector<engine::QueryPlan> &plans)
+{
+    return runPlans(plans);
+}
+
 } // namespace boss::accel

@@ -163,8 +163,7 @@ class Device
      * every subsequent query: tombstoned docs are filtered before
      * the top-k. The set is read concurrently by buildQuery calls —
      * callers must not mutate it while queries are in flight (the
-     * live index publishes frozen copies; ShardedDevice::deleteDocs
-     * documents its quiescence requirement).
+     * live index publishes frozen copies).
      */
     void
     setTombstones(std::shared_ptr<const index::TombstoneSet> tombstones)
@@ -189,6 +188,10 @@ class Device
     /** Serve a batch of API expression strings (see search()). */
     SearchOutcome
     searchBatch(const std::vector<std::string> &qExpressions);
+
+    /** Serve a batch of prepared plans (see plan()). */
+    SearchOutcome
+    searchBatch(const std::vector<engine::QueryPlan> &plans);
 
     // ---- Pipelined execution (the serving layer's stages) ----
     //

@@ -1,6 +1,7 @@
 #include "common/logging.h"
 
 #include <atomic>
+#include <cstdio>
 
 namespace boss
 {
@@ -40,7 +41,14 @@ void
 fatalImpl(std::string msg, const char *file, int line)
 {
     emitLog("fatal", msg, file, line);
-    std::exit(1);
+    // _Exit, not exit: exit() runs static destructors, and the global
+    // ThreadPool's would join workers that may still be running (or,
+    // in a forked death-test child, were never copied). Flush what
+    // the process printed first, since _Exit does not.
+    std::cout.flush();
+    std::cerr.flush();
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

@@ -37,18 +37,4 @@ ShardedBackend::finish(BuiltHandle built)
     return fin;
 }
 
-Finished
-LiveBackend::finish(BuiltHandle built)
-{
-    auto *bq = static_cast<api::LiveDevice::Built *>(built.get());
-    BOSS_ASSERT(bq != nullptr, "finish() without a build");
-    api::LiveOutcome res = device_.finishBuilt(std::move(*bq));
-    Finished fin;
-    fin.topk = std::move(res.topk);
-    fin.simSeconds = res.simSeconds;
-    fin.deviceBytes = res.deviceBytes;
-    fin.shardSeconds = {res.simSeconds};
-    return fin;
-}
-
 } // namespace boss::serve

@@ -10,12 +10,10 @@
  *
  *  - DeviceBackend: one accel::Device.
  *  - ShardedBackend: an api::ShardedDevice; build fans the query
- *    over every live shard, finish replays each shard and merges the
- *    global top-k.
- *  - LiveBackend: an api::LiveDevice; build pins the current epoch
- *    of a mutating segment set, finish replays its segments and
- *    merges — concurrent ingest publishes never touch in-flight
- *    queries.
+ *    over every partition (shards, or the segments of a live index's
+ *    current epoch, which the build pins so concurrent ingest never
+ *    touches in-flight queries), finish replays each partition and
+ *    merges the global top-k.
  *
  * Because the results are computed entirely in build(), the order in
  * which finish() calls later replay them cannot change any query's
@@ -30,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "api/live_device.h"
 #include "api/sharded_device.h"
 #include "boss/device.h"
 
@@ -113,7 +110,7 @@ class DeviceBackend final : public Backend
     accel::Device &device_;
 };
 
-/** Serve from a sharded device group with host-side merge. */
+/** Serve from a partitioned device group with host-side merge. */
 class ShardedBackend final : public Backend
 {
   public:
@@ -145,38 +142,6 @@ class ShardedBackend final : public Backend
 
   private:
     api::ShardedDevice &device_;
-};
-
-/**
- * Serve from a live (mutating) device. One physical device scans
- * its epoch's segments serially, so shards() is 1 regardless of the
- * segment count.
- */
-class LiveBackend final : public Backend
-{
-  public:
-    explicit LiveBackend(api::LiveDevice &device) : device_(device) {}
-
-    std::uint32_t shards() const override { return 1; }
-
-    engine::QueryPlan plan(const std::string &expr) override
-    {
-        return device_.plan(expr);
-    }
-    engine::QueryPlan plan(const workload::Query &query) override
-    {
-        return device_.plan(query);
-    }
-    BuiltHandle build(const engine::QueryPlan &plan,
-                      engine::QueryArena &arena) override
-    {
-        return std::make_shared<api::LiveDevice::Built>(
-            device_.buildQuery(plan, arena));
-    }
-    Finished finish(BuiltHandle built) override;
-
-  private:
-    api::LiveDevice &device_;
 };
 
 } // namespace boss::serve

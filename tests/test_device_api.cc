@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "api/offload.h"
 #include "boss/topk_queue.h"
@@ -119,6 +122,19 @@ TEST(DeviceTest, AblationKindsDiffer)
 // Offloading API.
 // ---------------------------------------------------------------
 
+/**
+ * A temp path private to the running test and process: ctest runs
+ * every test in its own process, concurrently under -j.
+ */
+std::string
+testPath(const std::string &name)
+{
+    const auto *test =
+        testing::UnitTest::GetInstance()->current_test_info();
+    return testing::TempDir() + test->name() + "_" +
+           std::to_string(::getpid()) + "_" + name;
+}
+
 struct ApiFixture : ::testing::Test
 {
     std::string indexPath;
@@ -127,8 +143,8 @@ struct ApiFixture : ::testing::Test
     void
     SetUp() override
     {
-        indexPath = testing::TempDir() + "boss_api_index.bin";
-        configPath = testing::TempDir() + "boss_api_config.txt";
+        indexPath = testPath("boss_api_index.bin");
+        configPath = testPath("boss_api_config.txt");
         index::saveIndexFile(freshIndex(), indexPath);
         std::ofstream cfg(configPath);
         for (compress::Scheme s : compress::kAllSchemes)

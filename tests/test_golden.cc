@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "api/live_device.h"
 #include "api/sharded_device.h"
 #include "boss/device.h"
 #include "common/rng.h"
@@ -168,14 +167,15 @@ segmentedGoldenDoc(std::uint32_t d, std::uint32_t vocab)
 TEST(GoldenTest, SegmentedLifecycleMatchesFixture)
 {
     const auto vocab = goldenCorpus().config().vocabSize;
-    api::LiveDeviceConfig cfg;
+    api::ShardedDeviceConfig cfg;
     cfg.device.k = 50;
-    cfg.live.termBoundHint = vocab;
-    cfg.live.maxBufferedDocs = 512;
-    cfg.live.maxSegments = 2;
-    cfg.live.mergeFanIn = 3;
-    api::LiveDevice device(cfg);
-    auto &live = device.live();
+    api::ShardedDevice device(cfg);
+    index::segments::LiveIndexConfig lcfg;
+    lcfg.termBoundHint = vocab;
+    lcfg.maxBufferedDocs = 512;
+    lcfg.maxSegments = 2;
+    lcfg.mergeFanIn = 3;
+    auto &live = device.loadLiveIndex(lcfg);
 
     // Build, append, delete, merge — a fixed mutation history.
     for (std::uint32_t d = 0; d < 3000; ++d)

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -16,6 +18,7 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "api/offload.h"
 #include "common/thread_pool.h"
@@ -315,6 +318,19 @@ TEST_F(ParallelFixture, DeviceBatchMatchesSequentialSearches)
 // api::searchBatch.
 // ---------------------------------------------------------------
 
+/**
+ * A temp path private to the running test and process: ctest runs
+ * every test in its own process, concurrently under -j.
+ */
+std::string
+testPath(const std::string &name)
+{
+    const auto *test =
+        testing::UnitTest::GetInstance()->current_test_info();
+    return testing::TempDir() + test->name() + "_" +
+           std::to_string(::getpid()) + "_" + name;
+}
+
 struct BatchApiFixture : ::testing::Test
 {
     std::string indexPath;
@@ -323,8 +339,8 @@ struct BatchApiFixture : ::testing::Test
     void
     SetUp() override
     {
-        indexPath = testing::TempDir() + "boss_batch_index.bin";
-        configPath = testing::TempDir() + "boss_batch_config.txt";
+        indexPath = testPath("boss_batch_index.bin");
+        configPath = testPath("boss_batch_config.txt");
         index::saveIndexFile(
             ParallelFixture::corpus().buildIndex(
                 {0, 1, 2, 3, 10, 50, 399}),

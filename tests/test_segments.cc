@@ -9,10 +9,7 @@
  * IndexBuilder rebuild (scores compared with float equality, not
  * tolerance — the rebake-at-publish design promises identical
  * floats), against the naive per-segment oracle, and again after
- * merges compact the segment set. A separate case exercises the
- * Device/ShardedDevice tombstone plumbing: deleting by global docID
- * across a shard group must filter exactly like a single device
- * with the same bitmap.
+ * merges compact the segment set.
  */
 
 #include <gtest/gtest.h>
@@ -21,12 +18,9 @@
 #include <memory>
 #include <vector>
 
-#include "boss/device.h"
-#include "api/sharded_device.h"
 #include "common/rng.h"
 #include "engine/segment_search.h"
 #include "index/segments/live_index.h"
-#include "workload/corpus.h"
 #include "workload/queries.h"
 
 namespace
@@ -293,54 +287,6 @@ TEST(Segments, EpochsAdvanceAndOldSnapshotsStayValid)
     // Idempotent refresh: nothing changed, no new epoch.
     live.refresh();
     EXPECT_EQ(live.epoch(), e0 + 2);
-}
-
-TEST(Segments, ShardedDeleteDocsMatchesSingleDeviceTombstones)
-{
-    workload::CorpusConfig ccfg;
-    ccfg.numDocs = 2000;
-    ccfg.vocabSize = 500;
-    ccfg.seed = 97;
-    workload::Corpus corpus(ccfg);
-
-    workload::QueryWorkloadConfig wcfg;
-    wcfg.vocabSize = ccfg.vocabSize;
-    wcfg.seed = 3;
-    const auto queries = workload::sampleQueries(wcfg, 10);
-    const auto terms = workload::collectTerms(queries);
-
-    std::vector<DocId> deletes;
-    Rng rng(0xF11E);
-    for (DocId d = 0; d < ccfg.numDocs; ++d) {
-        if (rng.below(10) == 0)
-            deletes.push_back(d);
-    }
-
-    accel::Device device;
-    device.loadIndex(corpus.buildIndex(terms));
-    auto tombs =
-        std::make_shared<index::TombstoneSet>(ccfg.numDocs);
-    for (DocId d : deletes)
-        tombs->markDeleted(d);
-    device.setTombstones(tombs);
-
-    api::ShardedDeviceConfig scfg;
-    scfg.shards = 3;
-    api::ShardedDevice sharded(scfg);
-    sharded.loadShards(corpus.buildShardedIndex(terms, 3));
-    sharded.deleteDocs(deletes);
-
-    for (const auto &q : queries) {
-        const auto single = device.search(q).topk;
-        EXPECT_EQ(sharded.search(q).topk, single);
-        // And against the oracle on the monolithic index.
-        EXPECT_EQ(engine::naiveTopK(device.index(),
-                                    engine::planQuery(q),
-                                    device.config().k, tombs.get()),
-                  single);
-        for (const auto &r : single)
-            EXPECT_FALSE(tombs->deleted(r.doc));
-    }
 }
 
 } // namespace

@@ -3,11 +3,14 @@
  * Serving-layer tests: arrival-schedule determinism, admission
  * queue invariants and shed policies, deadline handling, and the
  * core contract — serve-mode top-k is bit-identical to batch-mode
- * top-k for every pipeline mode, thread count and shard count.
+ * top-k for every pipeline mode, thread count and shard count. The
+ * live path serves a segmented index through the same partitioned
+ * backend, checked against the segment oracle and the time rule.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -16,6 +19,7 @@
 #include "boss/device.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "engine/segment_search.h"
 #include "serve/admission.h"
 #include "serve/arrival.h"
 #include "serve/backend.h"
@@ -437,6 +441,130 @@ TEST_F(ServeTest, ServeReportAccountingIsConsistent)
         if (rec.status == serve::QueryStatus::Done)
             expectSameResults(rec.topk,
                               batch.perQuery[rec.queryIndex]);
+    }
+}
+
+// ---------------------------------------------------------------
+// Partitioned serving: time rule and the live (segmented) path.
+// ---------------------------------------------------------------
+
+/** Keeps what finish() hands the server (finish is serial). */
+class RecordingBackend final : public serve::Backend
+{
+  public:
+    explicit RecordingBackend(serve::Backend &inner) : inner_(inner) {}
+
+    std::uint32_t shards() const override { return inner_.shards(); }
+    engine::QueryPlan plan(const std::string &expr) override
+    {
+        return inner_.plan(expr);
+    }
+    engine::QueryPlan plan(const workload::Query &query) override
+    {
+        return inner_.plan(query);
+    }
+    serve::BuiltHandle build(const engine::QueryPlan &plan,
+                             engine::QueryArena &arena) override
+    {
+        return inner_.build(plan, arena);
+    }
+    serve::Finished finish(serve::BuiltHandle built) override
+    {
+        finished.push_back(inner_.finish(std::move(built)));
+        return finished.back();
+    }
+
+    std::vector<serve::Finished> finished;
+
+  private:
+    serve::Backend &inner_;
+};
+
+TEST_F(ServeTest, ShardedServeTimeIsTheSlowestShard)
+{
+    common::ThreadPool::setGlobalThreads(4);
+    api::ShardedDeviceConfig scfg;
+    scfg.shards = 3;
+    api::ShardedDevice device(scfg);
+    device.loadShards(corpus_->buildShardedIndex(*terms_, 3));
+    serve::ShardedBackend backend(device);
+    RecordingBackend recording(backend);
+    serve::Server server(
+        recording,
+        lossless(queries_->size(), serve::PipelineMode::Pipelined));
+    auto report = server.run(*queries_);
+
+    ASSERT_EQ(report.completed, report.offered);
+    ASSERT_GE(recording.finished.size(), report.completed);
+    for (const serve::Finished &fin : recording.finished) {
+        ASSERT_EQ(fin.shardSeconds.size(), 3u);
+        EXPECT_EQ(fin.simSeconds,
+                  *std::max_element(fin.shardSeconds.begin(),
+                                    fin.shardSeconds.end()));
+    }
+}
+
+TEST_F(ServeTest, LiveServeMatchesSegmentOracleAndSumsSegmentTimes)
+{
+    common::ThreadPool::setGlobalThreads(4);
+    constexpr std::size_t kTopK = 100;
+    api::ShardedDeviceConfig cfg;
+    cfg.device.k = kTopK;
+    api::ShardedDevice device(cfg);
+    index::segments::LiveIndexConfig lcfg;
+    lcfg.termBoundHint = corpus_->config().vocabSize;
+    lcfg.maxBufferedDocs = 700;
+    auto &live = device.loadLiveIndex(lcfg);
+
+    // A quiescent index: several segments, some tombstones, no
+    // merger running.
+    Rng rng(0x5E65);
+    for (std::uint32_t d = 0; d < 3000; ++d) {
+        std::vector<TermId> tokens(6 + rng.below(40));
+        for (TermId &t : tokens)
+            t = static_cast<TermId>(rng.below(lcfg.termBoundHint));
+        live.append(tokens);
+    }
+    live.refresh();
+    for (DocId d = 0; d < 3000; d += 9)
+        ASSERT_TRUE(live.erase(d));
+    live.refresh();
+    const index::segments::Snapshot version = live.snapshot();
+    ASSERT_GE(version->segments().size(), 4u);
+
+    // Each query replayed alone on a device holding one segment; the
+    // served time is their sum in segment order.
+    std::vector<double> segmentSum(queries_->size(), 0.0);
+    for (const auto &seg : version->segments()) {
+        accel::DeviceConfig dc;
+        dc.k = kTopK;
+        accel::Device one(dc);
+        one.loadSharedIndex(seg.view);
+        one.setTombstones(seg.tombstones);
+        for (std::size_t q = 0; q < queries_->size(); ++q)
+            segmentSum[q] += one.search((*queries_)[q]).simSeconds;
+    }
+
+    serve::ShardedBackend backend(device);
+    RecordingBackend recording(backend);
+    EXPECT_EQ(recording.shards(), 1u);
+    serve::Server server(
+        recording, lossless(2 * queries_->size(),
+                            serve::PipelineMode::Pipelined));
+    auto report = server.run(*queries_);
+
+    ASSERT_EQ(report.completed, report.offered);
+    for (const auto &rec : report.records) {
+        ASSERT_EQ(rec.status, serve::QueryStatus::Done);
+        const auto &query = (*queries_)[rec.queryIndex];
+        expectSameResults(
+            rec.topk, engine::naiveSearchSegments(
+                          *version, engine::planQuery(query), kTopK));
+        EXPECT_EQ(rec.simSeconds, segmentSum[rec.queryIndex]);
+    }
+    for (const serve::Finished &fin : recording.finished) {
+        EXPECT_EQ(fin.shardSeconds,
+                  std::vector<double>{fin.simSeconds});
     }
 }
 

@@ -9,7 +9,9 @@
  * With query arguments, runs each and exits; otherwise reads queries
  * from stdin (one per line). Queries use the offloading-API grammar
  * with quoted terms, e.g.:  "storage" AND ("memory" OR "disk")
- * A bare list of words is treated as their OR.
+ * A bare list of words is treated as their OR. Every run goes
+ * through one api::ShardedDevice; tools/boss_serve serves an index
+ * under open-loop load.
  *
  * Options:
  *   --threads N            host thread pool size for batch trace
@@ -17,7 +19,8 @@
  *                          results never depend on the thread count)
  *   --shards N             partition the index across N simulated
  *                          devices with host-side top-k merging
- *                          (results are bit-identical for any N)
+ *                          (default 1; results are bit-identical for
+ *                          any N)
  *   --trace-out=FILE       write a Chrome trace_event JSON timeline
  *                          of the session (load in Perfetto or
  *                          chrome://tracing)
@@ -35,15 +38,15 @@
  *                          0xB055); same spec + seed => identical
  *                          faults at any thread or shard count
  *   --cache-mb N           DRAM block-cache tier of N MiB in front
- *                          of the SCM device (single device only):
- *                          hot posting blocks are served at DRAM
- *                          timing, misses at SCM timing; per-query
- *                          output reports the hit rate and the
- *                          DRAM/SCM traffic split
+ *                          of each device's SCM: hot posting blocks
+ *                          are served at DRAM timing, misses at SCM
+ *                          timing; per-query output reports the hit
+ *                          rate and the DRAM/SCM traffic split
  *   --mmap                 mmap the index file instead of copying it
- *                          to the heap (single device only): startup
- *                          is O(metadata) and block CRCs are
- *                          verified lazily on first decode
+ *                          to the heap: startup is O(metadata) and
+ *                          block CRCs are verified lazily on first
+ *                          decode. Needs --shards 1, since re-sharding
+ *                          decodes every payload unchecked
  *   --kernels=TIER         host SIMD kernel tier for block decode /
  *                          scoring: scalar|sse42|avx2|auto (default:
  *                          the BOSS_KERNELS env var, else auto =
@@ -53,21 +56,6 @@
  *                          the given queries) before the session, so
  *                          the per-worker decode arenas and caches
  *                          are hot when measurement starts
- *   --serve                serving mode: drive the given queries as
- *                          a seeded open-loop stream (see
- *                          tools/boss_serve for the full-featured
- *                          harness) and report tail latency
- *   --qps X                offered load for --serve (default 2000)
- *   --serve-queries N      offered query count for --serve
- *                          (default 1000)
- *   --deadline-us X        per-query SLO for --serve (default none)
- *   --metrics-out=FILE     --serve only: append one JSONL metrics
- *                          snapshot per period while serving
- *   --metrics-period-ms X  snapshot period (default 500)
- *   --metrics-port N       --serve only: Prometheus /metrics
- *                          endpoint (0 = ephemeral port)
- *   --flight-out=FILE      --serve only: flight-recorder Chrome
- *                          trace dump at exit
  */
 
 #include <cstdio>
@@ -75,27 +63,16 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "api/sharded_device.h"
-#include "boss/device.h"
-#include "common/buildinfo.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "kernels/kernels.h"
-#include "index/text_builder.h"
 #include "mem/fault_model.h"
-#include "serve/server.h"
-#include "telemetry/http_exporter.h"
-#include "telemetry/serve_telemetry.h"
-#include "telemetry/snapshotter.h"
 #include "trace/chrome_trace.h"
-#include "trace/json.h"
 #include "trace/summary.h"
 
 namespace
@@ -106,30 +83,9 @@ struct Options
     std::string traceOut;
     std::string statsJson;
     std::string querySummaries;
-    boss::mem::FaultSpec faults;
-    std::uint64_t faultSeed = 0xB055;
     std::size_t warmup = 0;
-    bool serve = false;
-    double qps = 2000.0;
-    std::size_t serveQueries = 1000;
-    double deadlineUs = std::numeric_limits<double>::infinity();
-    std::string metricsOut;
-    double metricsPeriodMs = 500.0;
-    long metricsPort = -1; ///< -1 = no HTTP endpoint
-    std::string flightOut;
-    double cacheMb = 0.0; ///< DRAM block-cache tier (0 = off)
-    bool mmap = false;    ///< mmap the index instead of heap load
+    bool mmap = false; ///< mmap the index instead of heap load
 };
-
-/** Build-identity labels every metrics surface carries. */
-std::vector<boss::telemetry::Label>
-buildLabels()
-{
-    return {{"git", std::string(boss::common::buildGitHash())},
-            {"compiler", std::string(boss::common::buildCompiler())},
-            {"kernels",
-             std::string(boss::kernels::activeTierName())}};
-}
 
 /** Words without quotes become an OR of quoted terms. */
 std::string
@@ -148,26 +104,11 @@ normalizeQuery(const std::string &raw)
     return expr;
 }
 
-std::vector<boss::trace::QuerySummary>
-summariesOf(boss::accel::Device &device)
-{
-    return device.querySummaries();
-}
-
-std::vector<boss::trace::QuerySummary>
-summariesOf(boss::api::ShardedDevice &device)
-{
-    // Host-level view: work summed over shards, latency from the
-    // slowest shard.
-    return device.aggregatedSummaries();
-}
-
-/** Per-query cache line for a single device (silent without one). */
+/** Per-query cache line (silent without a cache tier). */
 void
-printCache(const boss::accel::Device &device,
-           const boss::accel::SearchOutcome &outcome)
+printCache(const boss::api::ShardedOutcome &outcome)
 {
-    if (device.blockCache() == nullptr || outcome.cacheLookups == 0)
+    if (outcome.cacheLookups == 0)
         return;
     double hitPct = 100.0 * static_cast<double>(outcome.cacheHits) /
                     static_cast<double>(outcome.cacheLookups);
@@ -179,27 +120,6 @@ printCache(const boss::accel::Device &device,
                 static_cast<double>(outcome.deviceBytes) / 1e3,
                 static_cast<unsigned long long>(
                     outcome.cacheEvictions));
-}
-
-/** Sharded devices run without the cache tier (no-op). */
-void
-printCache(const boss::api::ShardedDevice &,
-           const boss::api::ShardedOutcome &)
-{
-}
-
-/** Per-query resilience line for a single device. */
-void
-printResilience(const boss::accel::Device &,
-                const boss::accel::SearchOutcome &outcome)
-{
-    if (outcome.crcRetries == 0 && outcome.blocksDropped == 0)
-        return;
-    std::printf("  resilience: %llu CRC retries, %llu blocks "
-                "dropped\n",
-                static_cast<unsigned long long>(outcome.crcRetries),
-                static_cast<unsigned long long>(
-                    outcome.blocksDropped));
 }
 
 /** Per-query resilience line with shard coverage. */
@@ -227,9 +147,8 @@ printResilience(const boss::api::ShardedDevice &device,
     }
 }
 
-template <typename Dev>
 void
-runQuery(Dev &device, const std::string &raw,
+runQuery(boss::api::ShardedDevice &device, const std::string &raw,
          std::ofstream *summariesOut)
 {
     std::string expr = normalizeQuery(raw);
@@ -242,7 +161,7 @@ runQuery(Dev &device, const std::string &raw,
                 outcome.topk.size(), outcome.simSeconds * 1e6,
                 static_cast<double>(outcome.deviceBytes) / 1e3,
                 static_cast<unsigned long long>(outcome.evaluatedDocs));
-    printCache(device, outcome);
+    printCache(outcome);
     printResilience(device, outcome);
     std::size_t show = std::min<std::size_t>(10, outcome.topk.size());
     for (std::size_t i = 0; i < show; ++i) {
@@ -250,8 +169,10 @@ runQuery(Dev &device, const std::string &raw,
                     outcome.topk[i].doc, outcome.topk[i].score);
     }
     if (summariesOut != nullptr) {
+        // Host-level view: work summed over shards, latency from the
+        // slowest shard.
         boss::trace::writeSummaries(*summariesOut,
-                                    summariesOf(device));
+                                    device.aggregatedSummaries());
     }
 }
 
@@ -275,229 +196,25 @@ openOut(const std::string &path)
     return os;
 }
 
-void
-printLoaded(boss::accel::Device &device)
+int
+runSession(boss::api::ShardedDevice &device, const Options &opts,
+           int argc, char **argv, int argi)
 {
-    std::printf("loaded %u docs / %u terms; device: %u BOSS cores, "
-                "4-channel SCM\n",
-                device.index().numDocs(), device.lexicon().size(),
-                device.config().cores);
-}
-
-void
-printLoaded(boss::api::ShardedDevice &device)
-{
-    std::printf("loaded %u docs / %u terms across %u shards; "
-                "per shard: %u BOSS cores, 4-channel SCM\n",
-                device.map().numDocs(),
-                device.shard(0).lexicon().size(), device.numShards(),
-                device.shard(0).config().cores);
-}
-
-void
-loadIndexFor(boss::accel::Device &device, const char *path, bool mmap)
-{
-    if (mmap)
-        device.loadMappedTextIndexFile(path);
+    if (opts.mmap)
+        device.loadMappedTextIndexFile(argv[argi]);
     else
-        device.loadTextIndexFile(path);
-}
-
-void
-loadIndexFor(boss::api::ShardedDevice &device, const char *path,
-             bool mmap)
-{
-    BOSS_ASSERT(!mmap, "--mmap is single-device only");
-    device.loadTextIndexFile(path);
-}
-
-std::unique_ptr<boss::serve::Backend>
-makeBackend(boss::accel::Device &device)
-{
-    return std::make_unique<boss::serve::DeviceBackend>(device);
-}
-
-std::unique_ptr<boss::serve::Backend>
-makeBackend(boss::api::ShardedDevice &device)
-{
-    return std::make_unique<boss::serve::ShardedBackend>(device);
-}
-
-/** Collect the session's queries as normalized expressions. */
-std::vector<std::string>
-collectQueries(int argc, char **argv, int argi)
-{
-    std::vector<std::string> exprs;
-    if (argi < argc) {
-        for (int i = argi; i < argc; ++i) {
-            std::string expr = normalizeQuery(argv[i]);
-            if (!expr.empty())
-                exprs.push_back(std::move(expr));
-        }
-    } else {
-        std::string line;
-        while (std::getline(std::cin, line)) {
-            std::string expr = normalizeQuery(line);
-            if (!expr.empty())
-                exprs.push_back(std::move(expr));
-        }
-    }
-    return exprs;
-}
-
-/**
- * --serve: drive the given queries as an open-loop stream instead
- * of one-shot lookups. The serve stats group (not the device stats
- * tree) backs --stats-json here; --trace-out carries the per-query
- * queue/serve spans.
- */
-template <typename Dev>
-int
-runServe(Dev &device, const Options &opts, int argc, char **argv,
-         int argi)
-{
-    std::vector<std::string> exprs =
-        collectQueries(argc, argv, argi);
-    if (exprs.empty()) {
-        std::fprintf(stderr, "--serve needs at least one query\n");
-        return 2;
-    }
-    auto backend = makeBackend(device);
-    boss::serve::ServeConfig scfg;
-    scfg.arrivals.qps = opts.qps;
-    scfg.arrivals.count = opts.serveQueries;
-    scfg.arrivals.seed = boss::splitSeed(opts.faultSeed, 0x5e12e);
-    scfg.deadlineUs = opts.deadlineUs;
-    scfg.warmup = opts.warmup;
-    boss::serve::Server server(*backend, scfg);
-    std::optional<boss::trace::Recorder> recorder;
-    if (!opts.traceOut.empty()) {
-        recorder.emplace();
-        // Serve-mode tracing is bounded: a long stream must not
-        // grow the recorder without limit (boss_serve exposes the
-        // knob as --trace-cap).
-        recorder->setEventCapacity(65536);
-        server.setRecorder(&*recorder);
-    }
-
-    const bool wantTelemetry = !opts.metricsOut.empty() ||
-                               opts.metricsPort >= 0 ||
-                               !opts.flightOut.empty();
-    std::optional<boss::telemetry::ServeTelemetry> telemetry;
-    std::optional<boss::telemetry::Snapshotter> snapshotter;
-    std::optional<boss::telemetry::HttpExporter> exporter;
-    if (wantTelemetry) {
-        telemetry.emplace();
-        telemetry->setBuildInfo(buildLabels());
-        server.setTelemetry(&*telemetry);
-        auto clock = [tel = &*telemetry] { return tel->nowUs(); };
-        if (!opts.metricsOut.empty()) {
-            boss::telemetry::Snapshotter::Config cfg;
-            cfg.jsonlPath = opts.metricsOut;
-            cfg.periodMs = opts.metricsPeriodMs;
-            snapshotter.emplace(telemetry->registry(), clock, cfg);
-            snapshotter->start();
-        }
-        if (opts.metricsPort >= 0) {
-            boss::telemetry::HttpExporter::Config cfg;
-            cfg.port =
-                static_cast<std::uint16_t>(opts.metricsPort);
-            exporter.emplace(telemetry->registry(),
-                             &telemetry->flight(), clock, cfg);
-            std::string error;
-            if (exporter->start(&error)) {
-                std::printf("metrics endpoint on port %u "
-                            "(/metrics /flight /healthz)\n",
-                            exporter->port());
-            } else {
-                std::fprintf(stderr,
-                             "metrics endpoint disabled: %s\n",
-                             error.c_str());
-                exporter.reset();
-            }
-        }
-    }
-
-    auto report = server.run(exprs);
-
-    if (snapshotter.has_value()) {
-        snapshotter->stop();
-        std::printf("wrote %llu metrics snapshots to %s\n",
-                    static_cast<unsigned long long>(
-                        snapshotter->snapshots()),
-                    opts.metricsOut.c_str());
-    }
-    if (exporter.has_value())
-        exporter->stop();
-    if (!opts.flightOut.empty()) {
-        auto os = openOut(opts.flightOut);
-        telemetry->flight().dumpChromeTrace(os);
-        std::printf("wrote flight recorder (%zu slow, %zu shed) "
-                    "to %s\n",
-                    telemetry->flight().slowCount(),
-                    telemetry->flight().shedCount(),
-                    opts.flightOut.c_str());
-    }
-    double goodPct =
-        report.offered == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(report.good) /
-                  static_cast<double>(report.offered);
-    std::printf("served %llu/%llu queries @ %.1f qps offered "
-                "(%llu shed, %llu expired); goodput %.2f%%\n",
-                static_cast<unsigned long long>(report.completed),
-                static_cast<unsigned long long>(report.offered),
-                report.offeredQps,
-                static_cast<unsigned long long>(report.shed),
-                static_cast<unsigned long long>(report.expired),
-                goodPct);
-    std::printf("latency us: p50 %.1f  p99 %.1f  p999 %.1f  "
-                "max %.1f\n",
-                report.latencyP50Us, report.latencyP99Us,
-                report.latencyP999Us, report.latencyMaxUs);
-    if (!opts.statsJson.empty()) {
-        auto os = openOut(opts.statsJson);
-        boss::stats::Group group("serve");
-        server.registerStats(group);
-        os << "{\n  \"build\": {";
-        bool first = true;
-        for (const auto &label : buildLabels()) {
-            if (!first)
-                os << ", ";
-            first = false;
-            boss::trace::json::writeString(os, label.key);
-            os << ": ";
-            boss::trace::json::writeString(os, label.value);
-        }
-        os << "},\n  \"serve\":\n";
-        group.dumpJson(os, 2);
-        os << "\n}\n";
-    }
-    if (!opts.traceOut.empty()) {
-        auto os = openOut(opts.traceOut);
-        boss::trace::writeChromeTrace(os, *recorder);
-        std::printf("wrote %zu trace events to %s",
-                    recorder->eventCount(), opts.traceOut.c_str());
-        if (recorder->droppedEvents() > 0)
-            std::printf(" (%llu evicted by the serve-mode ring)",
-                        static_cast<unsigned long long>(
-                            recorder->droppedEvents()));
-        std::printf("\n");
-    }
-    return 0;
-}
-
-template <typename Dev>
-int
-runSession(Dev &device, const Options &opts, int argc, char **argv,
-           int argi)
-{
-    loadIndexFor(device, argv[argi], opts.mmap);
+        device.loadTextIndexFile(argv[argi]);
     ++argi;
-    printLoaded(device);
-
-    if (opts.serve)
-        return runServe(device, opts, argc, argv, argi);
+    boss::accel::Device &first = device.shard(0);
+    std::printf("loaded %u docs / %u terms", device.map().numDocs(),
+                first.lexicon().size());
+    if (device.numShards() > 1)
+        std::printf(" across %u shards; per shard:",
+                    device.numShards());
+    else
+        std::printf("; device:");
+    std::printf(" %u BOSS cores, 4-channel SCM\n",
+                first.config().cores);
 
     // Warmup before any observability attaches: the warmup searches
     // heat the per-worker decode arenas without polluting traces,
@@ -562,7 +279,7 @@ int
 main(int argc, char **argv)
 {
     Options opts;
-    long shards = 1;
+    boss::api::ShardedDeviceConfig cfg;
     int argi = 1;
     while (argi < argc && argv[argi][0] == '-') {
         std::string arg = argv[argi];
@@ -579,56 +296,31 @@ main(int argc, char **argv)
                 static_cast<std::size_t>(n));
             argi += 2;
         } else if (arg == "--shards") {
-            shards = argi + 1 < argc
+            long n = argi + 1 < argc
                          ? std::strtol(argv[argi + 1], nullptr, 10)
                          : 0;
-            if (shards < 1) {
+            if (n < 1) {
                 std::fprintf(stderr,
                              "--shards wants a positive count\n");
                 return 2;
             }
+            cfg.shards = static_cast<std::uint32_t>(n);
             argi += 2;
         } else if (matchValueFlag(argv[argi], "--trace-out",
                                   opts.traceOut) ||
                    matchValueFlag(argv[argi], "--stats-json",
                                   opts.statsJson) ||
                    matchValueFlag(argv[argi], "--query-summaries",
-                                  opts.querySummaries) ||
-                   matchValueFlag(argv[argi], "--metrics-out",
-                                  opts.metricsOut) ||
-                   matchValueFlag(argv[argi], "--flight-out",
-                                  opts.flightOut)) {
+                                  opts.querySummaries)) {
             ++argi;
-        } else if (arg == "--metrics-port") {
-            long n = argi + 1 < argc
-                         ? std::strtol(argv[argi + 1], nullptr, 10)
-                         : -1;
-            if (n < 0 || n > 65535) {
-                std::fprintf(stderr,
-                             "--metrics-port wants 0..65535\n");
-                return 2;
-            }
-            opts.metricsPort = n;
-            argi += 2;
-        } else if (arg == "--metrics-period-ms") {
-            double p = argi + 1 < argc
-                           ? std::strtod(argv[argi + 1], nullptr)
-                           : 0.0;
-            if (p <= 0.0) {
-                std::fprintf(stderr,
-                             "--metrics-period-ms wants a positive "
-                             "period\n");
-                return 2;
-            }
-            opts.metricsPeriodMs = p;
-            argi += 2;
         } else if (std::string spec;
                    matchValueFlag(argv[argi], "--fault-spec", spec)) {
-            opts.faults = boss::mem::parseFaultSpec(spec);
+            cfg.device.faults = boss::mem::parseFaultSpec(spec);
             ++argi;
         } else if (std::string seed;
                    matchValueFlag(argv[argi], "--fault-seed", seed)) {
-            opts.faultSeed = std::strtoull(seed.c_str(), nullptr, 0);
+            cfg.device.faultSeed =
+                std::strtoull(seed.c_str(), nullptr, 0);
             ++argi;
         } else if (arg == "--warmup") {
             long n = argi + 1 < argc
@@ -651,49 +343,11 @@ main(int argc, char **argv)
                              "--cache-mb wants a positive size\n");
                 return 2;
             }
-            opts.cacheMb = mb;
+            cfg.device.cacheMB = mb;
             argi += 2;
         } else if (arg == "--mmap") {
             opts.mmap = true;
             ++argi;
-        } else if (arg == "--serve") {
-            opts.serve = true;
-            ++argi;
-        } else if (arg == "--qps") {
-            double q = argi + 1 < argc
-                           ? std::strtod(argv[argi + 1], nullptr)
-                           : 0.0;
-            if (q <= 0.0) {
-                std::fprintf(stderr,
-                             "--qps wants a positive rate\n");
-                return 2;
-            }
-            opts.qps = q;
-            argi += 2;
-        } else if (arg == "--serve-queries") {
-            long n = argi + 1 < argc
-                         ? std::strtol(argv[argi + 1], nullptr, 10)
-                         : 0;
-            if (n < 1) {
-                std::fprintf(stderr,
-                             "--serve-queries wants a positive "
-                             "count\n");
-                return 2;
-            }
-            opts.serveQueries = static_cast<std::size_t>(n);
-            argi += 2;
-        } else if (arg == "--deadline-us") {
-            double d = argi + 1 < argc
-                           ? std::strtod(argv[argi + 1], nullptr)
-                           : 0.0;
-            if (d <= 0.0) {
-                std::fprintf(stderr,
-                             "--deadline-us wants a positive "
-                             "deadline\n");
-                return 2;
-            }
-            opts.deadlineUs = d;
-            argi += 2;
         } else if (std::string tier;
                    matchValueFlag(argv[argi], "--kernels", tier)) {
             if (!boss::kernels::setTierByName(tier)) {
@@ -716,32 +370,19 @@ main(int argc, char **argv)
             "usage: %s [--threads N] [--shards N] [--trace-out=FILE] "
             "[--stats-json=FILE] [--query-summaries=FILE] "
             "[--fault-spec=SPEC] [--fault-seed=N] [--kernels=TIER] "
-            "[--warmup N] [--serve] [--qps X] [--serve-queries N] "
-            "[--deadline-us X] [--metrics-out=FILE] "
-            "[--metrics-period-ms X] [--metrics-port N] "
-            "[--flight-out=FILE] [--cache-mb N] [--mmap] "
+            "[--warmup N] [--cache-mb N] [--mmap] "
             "<index.idx> [query...]\n",
             argv[0]);
         return 2;
     }
-
-    if (shards > 1 && (opts.cacheMb > 0 || opts.mmap)) {
-        std::fprintf(stderr, "--cache-mb and --mmap are single-device "
-                             "options (no --shards)\n");
+    if (opts.mmap && cfg.shards > 1) {
+        std::fprintf(stderr,
+                     "--mmap needs --shards 1: re-sharding decodes "
+                     "the mapped payloads without checking their "
+                     "block CRCs\n");
         return 2;
     }
-    if (shards > 1) {
-        boss::api::ShardedDeviceConfig cfg;
-        cfg.shards = static_cast<std::uint32_t>(shards);
-        cfg.device.faults = opts.faults;
-        cfg.device.faultSeed = opts.faultSeed;
-        boss::api::ShardedDevice device(cfg);
-        return runSession(device, opts, argc, argv, argi);
-    }
-    boss::accel::DeviceConfig cfg;
-    cfg.faults = opts.faults;
-    cfg.faultSeed = opts.faultSeed;
-    cfg.cacheMB = opts.cacheMb;
-    boss::accel::Device device(cfg);
+
+    boss::api::ShardedDevice device(cfg);
     return runSession(device, opts, argc, argv, argi);
 }

@@ -22,6 +22,10 @@
  * /metrics and in --metrics-out snapshots) and a final "ingest:"
  * summary line reports totals.
  *
+ * Every topology — one index file, its --shards split, or a segment
+ * directory — is built as one api::ShardedDevice and served through
+ * one serve::ShardedBackend.
+ *
  * Options:
  *   --qps X              offered load in queries/sec (default 2000)
  *   --queries N          offered query count (default 2000)
@@ -55,11 +59,14 @@
  *                        shed queries) as Chrome trace at exit
  *   --kernels=TIER       scalar|sse42|avx2|auto (bit-exact tiers)
  *   --cache-mb N         DRAM block-cache tier of N MiB in front of
- *                        the SCM device (single index-file device
- *                        only); exports boss_cache_* counters on the
- *                        telemetry surface
+ *                        each device's SCM (index files only: a
+ *                        segment dir's per-epoch devices would need
+ *                        epoch-tagged cache keys); exports
+ *                        boss_cache_* counters, summed over shards,
+ *                        on the telemetry surface
  *   --mmap               mmap the index file (O(metadata) startup,
- *                        lazy per-block CRC; single device only)
+ *                        lazy per-block CRC; needs --shards 1, since
+ *                        re-sharding decodes every payload unchecked)
  *   --ingest-rate X      live mode: appended docs/sec (default 0)
  *   --delete-fraction F  live mode: deletes per append (default 0.1)
  *   --refresh-ms X       live mode: publish period (default 50)
@@ -81,9 +88,7 @@
 #include <string>
 #include <thread>
 
-#include "api/live_device.h"
 #include "api/sharded_device.h"
-#include "boss/device.h"
 #include "common/rng.h"
 #include "common/buildinfo.h"
 #include "common/logging.h"
@@ -131,21 +136,22 @@ struct Options
     double deleteFraction = 0.1;
     double refreshMs = 50.0;
     bool noMerge = false;
-    // Out-of-core tier (single index-file device only).
+    // Out-of-core tier (index files only).
     double cacheMb = 0.0;
     bool mmap = false;
 };
 
 /**
- * Bridges the device's block-cache counters onto the telemetry
- * surface: sync() polls the cache and traffic totals and applies
- * deltas to the boss_cache_* counters (same poll-and-delta shape as
- * IngestDriver::syncMetrics, keeping telemetry free of mem/ types).
+ * Bridges the devices' block-cache counters onto the telemetry
+ * surface: sync() polls the cache and traffic totals, summed over
+ * shards, and applies deltas to the boss_cache_* counters (same
+ * poll-and-delta shape as IngestDriver::syncMetrics, keeping
+ * telemetry free of mem/ types).
  */
 class CacheSync
 {
   public:
-    explicit CacheSync(const boss::accel::Device &device)
+    explicit CacheSync(boss::api::ShardedDevice &device)
         : device_(device)
     {
     }
@@ -159,10 +165,22 @@ class CacheSync
     void
     sync()
     {
-        const boss::mem::BlockCache *cache = device_.blockCache();
-        if (cache == nullptr)
-            return;
-        auto st = cache->stats();
+        boss::mem::BlockCache::Stats st;
+        std::uint64_t dram = 0;
+        std::uint64_t scm = 0;
+        for (std::uint32_t s = 0; s < device_.numShards(); ++s) {
+            const boss::accel::Device &dev = device_.shard(s);
+            const boss::mem::BlockCache *cache = dev.blockCache();
+            if (cache == nullptr)
+                return;
+            auto shard = cache->stats();
+            st.lookups += shard.lookups;
+            st.hits += shard.hits;
+            st.misses += shard.misses;
+            st.evictions += shard.evictions;
+            dram += dev.totalDramBytes();
+            scm += dev.totalScmBytes();
+        }
         auto delta = [](boss::telemetry::Counter &counter,
                         std::uint64_t now, std::uint64_t &last) {
             counter.inc(now - last);
@@ -172,13 +190,12 @@ class CacheSync
         delta(metrics_.hits, st.hits, lastHits_);
         delta(metrics_.misses, st.misses, lastMisses_);
         delta(metrics_.evictions, st.evictions, lastEvictions_);
-        delta(metrics_.dramBytes, device_.totalDramBytes(),
-              lastDram_);
-        delta(metrics_.scmBytes, device_.totalScmBytes(), lastScm_);
+        delta(metrics_.dramBytes, dram, lastDram_);
+        delta(metrics_.scmBytes, scm, lastScm_);
     }
 
   private:
-    const boss::accel::Device &device_;
+    boss::api::ShardedDevice &device_;
     boss::telemetry::CacheMetrics metrics_;
     std::uint64_t lastLookups_ = 0;
     std::uint64_t lastHits_ = 0;
@@ -191,14 +208,15 @@ class CacheSync
 /**
  * The write side of mixed read/write serving: a thread appending
  * synthetic documents (and deleting a fraction of the corpus) into
- * the LiveDevice's index at a paced rate, publishing on a refresh
- * timer, while the server hammers the read side.
+ * the live index at a paced rate, publishing on a refresh timer,
+ * while the server hammers the read side.
  */
 class IngestDriver
 {
   public:
-    IngestDriver(boss::api::LiveDevice &device, const Options &opts)
-        : device_(device), rate_(opts.ingestRate),
+    IngestDriver(boss::index::segments::LiveIndex &live,
+                 const Options &opts)
+        : live_(live), rate_(opts.ingestRate),
           deleteFraction_(opts.deleteFraction),
           refreshMs_(opts.refreshMs), merge_(!opts.noMerge),
           rng_(boss::splitSeed(opts.seed, 13))
@@ -216,7 +234,7 @@ class IngestDriver
     start()
     {
         if (merge_)
-            device_.live().startMerger();
+            live_.startMerger();
         syncMetrics();
         thread_ = std::thread([this] { run(); });
     }
@@ -227,16 +245,16 @@ class IngestDriver
         stop_.store(true, std::memory_order_relaxed);
         if (thread_.joinable())
             thread_.join();
-        device_.live().refresh();
+        live_.refresh();
         if (merge_)
-            device_.live().stopMerger();
+            live_.stopMerger();
         syncMetrics();
     }
 
     void
     printSummary() const
     {
-        const auto &c = device_.live().counters();
+        const auto &c = live_.counters();
         std::printf(
             "ingest: appended %llu, deleted %llu, baked %llu "
             "segments, %llu merges, %llu refreshes; final epoch "
@@ -246,17 +264,16 @@ class IngestDriver
             static_cast<unsigned long long>(c.segmentsBaked.load()),
             static_cast<unsigned long long>(c.merges.load()),
             static_cast<unsigned long long>(c.refreshes.load()),
-            static_cast<unsigned long long>(device_.live().epoch()),
-            device_.live().liveDocs(),
-            device_.live().segmentCount());
+            static_cast<unsigned long long>(live_.epoch()),
+            live_.liveDocs(),
+            live_.segmentCount());
     }
 
   private:
     void
     run()
     {
-        auto &live = device_.live();
-        const std::uint32_t vocab = live.termBound();
+        const std::uint32_t vocab = live_.termBound();
         const auto t0 = std::chrono::steady_clock::now();
         auto lastRefresh = t0;
         std::uint64_t appended = 0;
@@ -274,7 +291,7 @@ class IngestDriver
             if (std::chrono::duration<double, std::milli>(
                     now - lastRefresh)
                     .count() >= refreshMs_) {
-                live.refresh();
+                live_.refresh();
                 lastRefresh = now;
                 syncMetrics();
             }
@@ -286,13 +303,12 @@ class IngestDriver
     void
     appendOne(std::uint32_t vocab)
     {
-        auto &live = device_.live();
         const auto len =
             8 + static_cast<std::uint32_t>(rng_.below(56));
         std::vector<boss::TermId> tokens(len);
         for (auto &t : tokens)
             t = static_cast<boss::TermId>(rng_.below(vocab));
-        live.append(tokens);
+        live_.append(tokens);
         constexpr std::uint64_t kScale = 1u << 20;
         if (rng_.below(kScale) <
             static_cast<std::uint64_t>(deleteFraction_ * kScale)) {
@@ -301,8 +317,8 @@ class IngestDriver
             // close to the requested fraction.
             for (int tries = 0; tries < 4; ++tries) {
                 const auto victim = static_cast<boss::DocId>(
-                    rng_.below(live.nextGlobalId()));
-                if (live.erase(victim))
+                    rng_.below(live_.nextGlobalId()));
+                if (live_.erase(victim))
                     break;
             }
         }
@@ -311,7 +327,7 @@ class IngestDriver
     void
     syncMetrics()
     {
-        const auto &c = device_.live().counters();
+        const auto &c = live_.counters();
         auto delta = [](boss::telemetry::Counter &counter,
                         const std::atomic<std::uint64_t> &source,
                         std::uint64_t &last) {
@@ -325,16 +341,16 @@ class IngestDriver
         delta(metrics_.merges, c.merges, lastMerges_);
         delta(metrics_.refreshes, c.refreshes, lastRefreshes_);
         metrics_.liveDocs.set(
-            static_cast<double>(device_.live().liveDocs()));
+            static_cast<double>(live_.liveDocs()));
         metrics_.segments.set(
-            static_cast<double>(device_.live().segmentCount()));
+            static_cast<double>(live_.segmentCount()));
         metrics_.epoch.set(
-            static_cast<double>(device_.live().epoch()));
+            static_cast<double>(live_.epoch()));
         metrics_.bufferedDocs.set(
-            static_cast<double>(device_.live().bufferedDocs()));
+            static_cast<double>(live_.bufferedDocs()));
     }
 
-    boss::api::LiveDevice &device_;
+    boss::index::segments::LiveIndex &live_;
     double rate_;
     double deleteFraction_;
     double refreshMs_;
@@ -796,16 +812,29 @@ main(int argc, char **argv)
                     boss::kernels::activeTierName().size()),
                 boss::kernels::activeTierName().data());
 
-    if ((opts.cacheMb > 0 || opts.mmap) &&
-        (opts.shards > 1 ||
-         std::filesystem::is_directory(argv[argi]))) {
+    const bool segmentDir = std::filesystem::is_directory(argv[argi]);
+    if (opts.mmap && opts.shards > 1) {
         std::fprintf(stderr,
-                     "--cache-mb and --mmap serve a single "
-                     "index-file device (no --shards, no live "
-                     "segment dir)\n");
+                     "--mmap needs --shards 1: re-sharding decodes "
+                     "the mapped payloads without checking their "
+                     "block CRCs\n");
         return 2;
     }
-    if (std::filesystem::is_directory(argv[argi])) {
+    if ((opts.cacheMb > 0 || opts.mmap) && segmentDir) {
+        std::fprintf(stderr,
+                     "--cache-mb and --mmap serve index files only: a "
+                     "segment dir's per-epoch devices would need "
+                     "epoch-tagged cache keys\n");
+        return 2;
+    }
+
+    boss::api::ShardedDeviceConfig cfg;
+    cfg.shards = static_cast<std::uint32_t>(opts.shards);
+    cfg.device.cacheMB = opts.cacheMb;
+    boss::api::ShardedDevice device(cfg);
+    std::uint32_t vocab = 0;
+    std::optional<IngestDriver> ingest;
+    if (segmentDir) {
         // Live mode: serve the segment directory while ingesting.
         const std::filesystem::path dir = argv[argi];
         std::ifstream ls(dir / "lexicon", std::ios::binary);
@@ -816,19 +845,16 @@ main(int argc, char **argv)
                          argv[argi]);
             return 1;
         }
-        boss::index::Lexicon lexicon =
-            boss::index::Lexicon::load(ls);
-        if (lexicon.size() == 0) {
+        vocab = boss::index::Lexicon::load(ls).size();
+        if (vocab == 0) {
             std::fprintf(stderr, "empty lexicon in '%s'\n",
                          argv[argi]);
             return 1;
         }
-        boss::api::LiveDeviceConfig cfg;
-        cfg.live.dir = dir.string();
-        cfg.live.termBoundHint = lexicon.size();
-        boss::api::LiveDevice device(cfg);
-        const std::uint32_t vocab = lexicon.size();
-        device.setLexicon(std::move(lexicon));
+        boss::index::segments::LiveIndexConfig live;
+        live.dir = dir.string();
+        live.termBoundHint = vocab;
+        device.loadLiveIndex(live);
         std::printf("loaded live index: %u docs in %u segments, "
                     "epoch %llu, %u terms\n",
                     device.live().liveDocs(),
@@ -836,38 +862,23 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         device.live().epoch()),
                     vocab);
-        boss::serve::LiveBackend backend(device);
-        IngestDriver ingest(device, opts);
-        return serveSession(backend, vocab, opts, &ingest);
+        ingest.emplace(device.live(), opts);
+    } else {
+        if (opts.mmap)
+            device.loadMappedTextIndexFile(argv[argi]);
+        else
+            device.loadTextIndexFile(argv[argi]);
+        vocab = device.shard(0).lexicon().size();
+        std::printf("loaded %u docs / %u terms", device.map().numDocs(),
+                    vocab);
+        if (device.numShards() > 1)
+            std::printf(" across %u shards", device.numShards());
+        std::printf("%s%s\n", opts.mmap ? " (mmap)" : "",
+                    opts.cacheMb > 0 ? ", DRAM block cache on" : "");
     }
-    if (opts.shards > 1) {
-        boss::api::ShardedDeviceConfig cfg;
-        cfg.shards = static_cast<std::uint32_t>(opts.shards);
-        boss::api::ShardedDevice device(cfg);
-        device.loadTextIndexFile(argv[argi]);
-        std::printf("loaded %u docs / %u terms across %u shards\n",
-                    device.map().numDocs(),
-                    device.shard(0).lexicon().size(),
-                    device.numShards());
-        boss::serve::ShardedBackend backend(device);
-        return serveSession(backend,
-                            device.shard(0).lexicon().size(),
-                            opts);
-    }
-    boss::accel::DeviceConfig dcfg;
-    dcfg.cacheMB = opts.cacheMb;
-    boss::accel::Device device(dcfg);
-    if (opts.mmap)
-        device.loadMappedTextIndexFile(argv[argi]);
-    else
-        device.loadTextIndexFile(argv[argi]);
-    std::printf("loaded %u docs / %u terms%s%s\n",
-                device.index().numDocs(), device.lexicon().size(),
-                opts.mmap ? " (mmap)" : "",
-                opts.cacheMb > 0 ? ", DRAM block cache on" : "");
-    boss::serve::DeviceBackend backend(device);
+    boss::serve::ShardedBackend backend(device);
     CacheSync cacheSync(device);
-    return serveSession(backend, device.lexicon().size(), opts,
-                        nullptr,
+    return serveSession(backend, vocab, opts,
+                        ingest ? &*ingest : nullptr,
                         opts.cacheMb > 0 ? &cacheSync : nullptr);
 }
