@@ -429,12 +429,17 @@ TEST_P(CodecFuzz, NativeAndDatapathAgree)
 std::vector<FuzzCase>
 fuzzCases()
 {
-    std::vector<FuzzCase> cases;
+    // gtest lists each case with the object's bytes, padding included.
+    // Value-initialised elements have zeroed padding, so the listed
+    // names are the same on every run.
+    std::vector<FuzzCase> cases(kAllSchemes.size() * 6);
+    auto c = cases.begin();
     for (Scheme s : kAllSchemes) {
-        for (int kind = 0; kind < 6; ++kind) {
+        for (int kind = 0; kind < 6; ++kind, ++c) {
             // Simple16 cannot represent values >= 2^28; every
             // pattern here stays below that by construction.
-            cases.push_back({s, kind});
+            c->scheme = s;
+            c->kind = kind;
         }
     }
     return cases;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "engine/cursor.h"
 #include "engine/execute.h"
@@ -269,7 +270,9 @@ const ModeCase kModes[] = {
     {"iiu", {false, false, true, true}},
 };
 
-const char *const kExpressions[] = {
+// Strings, not char pointers: gtest lists each case with its parameter,
+// and a pointer would put a per-run address into the test name.
+const std::string kExpressions[] = {
     "\"t0\"",
     "\"t1999\"",
     "\"t0\" AND \"t50\"",
@@ -284,7 +287,7 @@ const char *const kExpressions[] = {
 
 class ExecEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<const char *, std::size_t>>
+          std::tuple<std::string, std::size_t>>
 {
 };
 
