@@ -187,7 +187,6 @@ runServer(serve::Backend &backend,
     cfg.policy = serve::ShedPolicy::DropTail;
     cfg.queueCapacity = 64;
     cfg.maxInFlight = 8;
-    cfg.mode = serve::PipelineMode::Pipelined;
     cfg.warmup = 64;
     serve::Server server(backend, cfg);
     return server.run(queries);
@@ -261,7 +260,6 @@ main()
         cfg.arrivals.seed = 11;
         cfg.policy = serve::ShedPolicy::Block;
         cfg.queueCapacity = 512;
-        cfg.mode = serve::PipelineMode::Pipelined;
         cfg.warmup = 64;
         serve::Server server(backend, cfg);
         auto report = server.run(queries);

@@ -54,23 +54,6 @@ forEachPartition(const ShardedDevice::Partitions &parts, Fn &&fn)
     }
 }
 
-/**
- * A live epoch's views size their list tables to its term bound, and
- * the engine's list lookup is unchecked.
- */
-void
-checkTerms(const ShardedDevice::Partitions &parts,
-           const engine::QueryPlan &plan)
-{
-    if (!parts.snapshot)
-        return;
-    for (TermId t : plan.allTerms) {
-        BOSS_ASSERT(t < parts.snapshot->termBound(), "query term ", t,
-                    " outside epoch term bound ",
-                    parts.snapshot->termBound());
-    }
-}
-
 /** Adds every work and traffic counter of @p b except cycles. */
 void
 addCounters(trace::QuerySummary &a, const trace::QuerySummary &b)
@@ -334,10 +317,8 @@ ShardedDevice::runBatch(const Batch &batch)
     // Plan once: every partition resolves terms identically.
     std::vector<engine::QueryPlan> plans;
     plans.reserve(batch.size());
-    for (const auto &q : batch) {
+    for (const auto &q : batch)
         plans.push_back(plan(q));
-        checkTerms(*parts, plans.back());
-    }
     const std::size_t nQueries = plans.size();
     // Every partition's device, null where its device is down.
     std::vector<accel::Device *> devices;
@@ -433,7 +414,6 @@ ShardedDevice::buildQuery(const engine::QueryPlan &plan,
 {
     Built built;
     built.partitions = partitions();
-    checkTerms(*built.partitions, plan);
     forEachPartition(*built.partitions,
                      [&](const Partition &p, bool up) {
                          // A dead device's partitions keep empty

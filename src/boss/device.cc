@@ -174,6 +174,14 @@ Device::buildQuery(const engine::QueryPlan &plan,
                    std::uint16_t lane) const
 {
     BOSS_ASSERT(index_ != nullptr, "search() before loadIndex()");
+    // A lexicon-less plan resolves "t<N>" to any N, and the engine's
+    // list lookup is unchecked. This is the one place that sees both
+    // the plan and the placed index (a live epoch's view included).
+    for (TermId t : plan.allTerms) {
+        if (t >= index_->numTerms())
+            BOSS_FATAL("query term t", t, " outside the index's ",
+                       index_->numTerms(), " terms");
+    }
 
     model::TraceOptions options =
         model::traceOptionsFor(config_.kind, config_.k);

@@ -44,6 +44,7 @@
 #include <optional>
 
 #include "engine/plan.h"
+#include "serve/record.h"
 
 namespace boss::serve
 {
@@ -71,15 +72,6 @@ struct ServeRequest
     double enqueueUs = 0.0;
     /** Absolute completion deadline, us from run epoch. */
     double deadlineUs = std::numeric_limits<double>::infinity();
-};
-
-/** Outcome of one offer() call. */
-enum class Admission : std::uint8_t
-{
-    Admitted,
-    ShedCapacity, ///< DropTail refusal at a full queue
-    ShedDeadline, ///< DropDeadline refusal or eviction
-    Closed,       ///< queue closed; request refused
 };
 
 struct AdmissionCounters

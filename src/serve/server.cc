@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <map>
 #include <thread>
 
@@ -26,36 +25,6 @@ percentileSorted(const std::vector<double> &sorted, double q)
     std::size_t hi = std::min(lo + 1, sorted.size() - 1);
     double frac = rank - static_cast<double>(lo);
     return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-telemetry::AdmitOutcome
-admitOutcome(Admission a)
-{
-    switch (a) {
-    case Admission::Admitted:
-        return telemetry::AdmitOutcome::Admitted;
-    case Admission::ShedCapacity:
-        return telemetry::AdmitOutcome::ShedCapacity;
-    case Admission::ShedDeadline:
-        return telemetry::AdmitOutcome::ShedDeadline;
-    case Admission::Closed:
-        break;
-    }
-    return telemetry::AdmitOutcome::Closed;
-}
-
-telemetry::QueryLifecycle::Outcome
-lifecycleOutcome(QueryStatus status)
-{
-    switch (status) {
-    case QueryStatus::Done:
-        return telemetry::QueryLifecycle::Outcome::Done;
-    case QueryStatus::Expired:
-        return telemetry::QueryLifecycle::Outcome::Expired;
-    case QueryStatus::Shed:
-        break;
-    }
-    return telemetry::QueryLifecycle::Outcome::Shed;
 }
 
 } // namespace
@@ -103,16 +72,13 @@ Server::runImpl(const std::vector<Q> &queries)
         rec.id = i;
         rec.queryIndex = i % plans.size();
         rec.arrivalUs = schedule[i];
+        rec.deadlineUs = schedule[i] + config_.deadlineUs;
     }
 
     AdmissionQueue queue(config_.queueCapacity, config_.policy);
 
     const auto t0 = std::chrono::steady_clock::now();
-    // Run-epoch offset on the recorder's host clock, so post-run
-    // trace emission can translate record timestamps.
-    const double recEpochUs =
-        recorder_ != nullptr ? recorder_->hostMicros() : 0.0;
-    // Same offset on the telemetry clock: live hooks translate
+    // Run-epoch offset on the telemetry clock: live hooks translate
     // run-relative timestamps into the metric windows' domain.
     const double telEpochUs =
         telemetry_ != nullptr ? telemetry_->nowUs() : 0.0;
@@ -120,34 +86,6 @@ Server::runImpl(const std::vector<Q> &queries)
         return std::chrono::duration<double, std::micro>(
                    std::chrono::steady_clock::now() - t0)
             .count();
-    };
-
-    const std::uint32_t shardCount = backend_.shards();
-    const bool hasDeadline = std::isfinite(config_.deadlineUs);
-    // Terminal record → telemetry lifecycle, shifted into the
-    // telemetry clock domain. Callers invoke it only from the one
-    // thread that owns the record at its terminal transition.
-    auto toLifecycle = [&, telEpochUs](const QueryRecord &rec) {
-        auto shift = [telEpochUs](double t) {
-            return t >= 0.0 ? telEpochUs + t : -1.0;
-        };
-        telemetry::QueryLifecycle q;
-        q.id = rec.id;
-        q.queryIndex = rec.queryIndex;
-        q.outcome = lifecycleOutcome(rec.status);
-        q.metDeadline = rec.metDeadline;
-        q.arrivalUs = telEpochUs + rec.arrivalUs;
-        q.enqueueUs = shift(rec.enqueueUs);
-        q.admitUs = shift(rec.admitUs);
-        q.startUs = shift(rec.startUs);
-        q.buildEndUs = shift(rec.buildEndUs);
-        q.finishUs = shift(rec.finishUs);
-        q.deadlineUs = hasDeadline ? telEpochUs + rec.arrivalUs +
-                                         config_.deadlineUs
-                                   : -1.0;
-        q.shards = shardCount;
-        q.deviceBytes = rec.deviceBytes;
-        return q;
     };
 
     // ---- Open-loop generator: offers on schedule, regardless of
@@ -168,19 +106,18 @@ Server::runImpl(const std::vector<Q> &queries)
             req.plan = &plans[rec.queryIndex];
             req.arrivalUs = schedule[i];
             req.enqueueUs = nowUs();
-            req.deadlineUs = schedule[i] + config_.deadlineUs;
+            req.deadlineUs = rec.deadlineUs;
             rec.enqueueUs = req.enqueueUs;
             std::optional<ServeRequest> evicted;
             Admission adm = queue.offer(std::move(req), &evicted);
             if (telemetry_ != nullptr) {
                 double tTel = telEpochUs + rec.enqueueUs;
                 telemetry_->onOffered(tTel);
-                telemetry_->onAdmission(tTel, admitOutcome(adm),
-                                        queue.size());
+                telemetry_->onAdmission(tTel, adm, queue.size());
                 // A refusal is terminal right here; an admitted
                 // query's terminal comes later from the pipeline.
                 if (adm != Admission::Admitted)
-                    telemetry_->onTerminal(tTel, toLifecycle(rec));
+                    telemetry_->onTerminal(tTel, rec, telEpochUs);
             }
             // Refusals keep the default Shed status. An eviction
             // victim was admitted earlier but never dispatched, so
@@ -190,16 +127,16 @@ Server::runImpl(const std::vector<Q> &queries)
                 victim.status = QueryStatus::Shed;
                 if (telemetry_ != nullptr)
                     telemetry_->onTerminal(telEpochUs + nowUs(),
-                                           toLifecycle(victim));
+                                           victim, telEpochUs);
             }
         }
         queue.close();
     });
 
-    // ---- Pipelined machinery: builds fan out to pool workers;
-    // the finisher replays completed builds in admission order, so
-    // device totals accrue deterministically and the serial stage
-    // of query i overlaps the builds of queries i+1..
+    // ---- Builds fan out to pool workers; the finisher replays
+    // completed builds in admission order, so device totals accrue
+    // deterministically and the serial stage of query i overlaps the
+    // builds of queries i+1..
     struct Completion
     {
         ServeRequest req;
@@ -215,171 +152,67 @@ Server::runImpl(const std::vector<Q> &queries)
     std::size_t inFlight = 0;
     bool submitDone = false;
     std::exception_ptr pipeError;
-    // Stage wall times, sampled into the histograms after the
-    // threads join (the histograms are not thread-safe).
-    std::vector<double> finishDurations;
 
-    auto recordDone = [](QueryRecord &rec, const ServeRequest &req,
-                         Finished fin, double finishAt) {
-        rec.status = QueryStatus::Done;
-        rec.finishUs = finishAt;
-        rec.metDeadline = finishAt <= req.deadlineUs;
-        rec.simSeconds = fin.simSeconds;
-        rec.deviceBytes = fin.deviceBytes;
-        rec.topk = std::move(fin.topk);
-    };
-
-    std::thread finisher;
-    if (config_.mode == PipelineMode::Pipelined) {
-        finisher = std::thread([&] {
-            std::uint64_t next = 0;
-            for (;;) {
-                Completion item;
-                {
-                    std::unique_lock<std::mutex> lock(pipeMutex);
-                    pipeCv.wait(lock, [&] {
-                        return ready.count(next) != 0 ||
-                               (submitDone &&
-                                finished == submitted);
-                    });
-                    auto it = ready.find(next);
-                    if (it == ready.end())
-                        return; // submissions drained
-                    item = std::move(it->second);
-                    ready.erase(it);
-                }
-                QueryRecord &rec = report.records[item.req.id];
-                if (item.error != nullptr) {
+    std::thread finisher([&] {
+        std::uint64_t next = 0;
+        for (;;) {
+            Completion item;
+            {
+                std::unique_lock<std::mutex> lock(pipeMutex);
+                pipeCv.wait(lock, [&] {
+                    return ready.count(next) != 0 ||
+                           (submitDone && finished == submitted);
+                });
+                auto it = ready.find(next);
+                if (it == ready.end())
+                    return; // submissions drained
+                item = std::move(it->second);
+                ready.erase(it);
+            }
+            QueryRecord &rec = report.records[item.req.id];
+            if (item.error != nullptr) {
+                std::lock_guard<std::mutex> lock(pipeMutex);
+                if (pipeError == nullptr)
+                    pipeError = item.error;
+            } else {
+                double f0 = nowUs();
+                try {
+                    Finished fin = backend_.finish(std::move(item.built));
+                    double f1 = nowUs();
+                    rec.status = QueryStatus::Done;
+                    rec.finishUs = f1;
+                    rec.metDeadline = f1 <= rec.deadlineUs;
+                    rec.simSeconds = fin.simSeconds;
+                    rec.deviceBytes = fin.deviceBytes;
+                    rec.topk = std::move(fin.topk);
+                    if (telemetry_ != nullptr) {
+                        telemetry_->onFinish(telEpochUs + f1, f1 - f0);
+                        for (std::size_t s = 0;
+                             s < fin.shardSeconds.size(); ++s)
+                            telemetry_->onShard(s, fin.shardSeconds[s]);
+                        telemetry_->onTerminal(telEpochUs + f1, rec,
+                                               telEpochUs);
+                    }
+                } catch (...) {
                     std::lock_guard<std::mutex> lock(pipeMutex);
                     if (pipeError == nullptr)
-                        pipeError = item.error;
-                } else {
-                    double f0 = nowUs();
-                    try {
-                        Finished fin =
-                            backend_.finish(std::move(item.built));
-                        double f1 = nowUs();
-                        finishDurations.push_back(f1 - f0);
-                        if (telemetry_ != nullptr) {
-                            telemetry_->onFinish(telEpochUs + f1,
-                                                 f1 - f0);
-                            for (std::size_t s = 0;
-                                 s < fin.shardSeconds.size(); ++s)
-                                telemetry_->onShard(
-                                    s, fin.shardSeconds[s]);
-                        }
-                        recordDone(rec, item.req, std::move(fin),
-                                   f1);
-                        if (telemetry_ != nullptr)
-                            telemetry_->onTerminal(
-                                telEpochUs + f1, toLifecycle(rec));
-                    } catch (...) {
-                        std::lock_guard<std::mutex> lock(pipeMutex);
-                        if (pipeError == nullptr)
-                            pipeError = std::current_exception();
-                    }
+                        pipeError = std::current_exception();
                 }
-                {
-                    std::lock_guard<std::mutex> lock(pipeMutex);
-                    ++finished;
-                    --inFlight;
-                }
-                slotCv.notify_one();
-                pipeCv.notify_all();
-                ++next;
             }
-        });
-    }
+            {
+                std::lock_guard<std::mutex> lock(pipeMutex);
+                ++finished;
+                --inFlight;
+            }
+            slotCv.notify_one();
+            pipeCv.notify_all();
+            ++next;
+        }
+    });
 
     // ---- Dispatcher (this thread): pops admitted requests until
     // the queue is closed and drained.
-    if (config_.mode == PipelineMode::Barrier) {
-        // Ablation baseline — the old barrier-per-batch pattern:
-        // drain what is queued into a batch, build every query,
-        // finish every query, and only then deliver the whole
-        // batch. No completion leaves before the barrier, so every
-        // query in the batch is charged the batch makespan.
-        BOSS_ASSERT(config_.barrierBatch > 0, "empty barrier batch");
-        std::vector<ServeRequest> batch;
-        std::vector<BuiltHandle> built;
-        std::vector<Finished> fins;
-        std::vector<std::size_t> live; // indexes into batch
-        while (auto first = queue.pop()) {
-            batch.clear();
-            built.clear();
-            fins.clear();
-            live.clear();
-            batch.push_back(std::move(*first));
-            while (batch.size() < config_.barrierBatch) {
-                auto more = queue.tryPop();
-                if (!more.has_value())
-                    break;
-                batch.push_back(std::move(*more));
-            }
-            try {
-                // Stage 1: build the whole batch.
-                for (std::size_t b = 0; b < batch.size(); ++b) {
-                    QueryRecord &rec = report.records[batch[b].id];
-                    double admitAt = nowUs();
-                    rec.admitUs = admitAt;
-                    if (admitAt > batch[b].deadlineUs) {
-                        rec.status = QueryStatus::Expired;
-                        if (telemetry_ != nullptr)
-                            telemetry_->onTerminal(
-                                telEpochUs + admitAt,
-                                toLifecycle(rec));
-                        continue;
-                    }
-                    if (telemetry_ != nullptr)
-                        telemetry_->onAdmit(
-                            telEpochUs + admitAt,
-                            admitAt - rec.arrivalUs);
-                    rec.startUs = nowUs();
-                    built.push_back(backend_.build(*batch[b].plan,
-                                                   arenas_[0]));
-                    rec.buildEndUs = nowUs();
-                    if (telemetry_ != nullptr)
-                        telemetry_->onBuild(
-                            telEpochUs + rec.buildEndUs,
-                            rec.buildEndUs - rec.startUs);
-                    live.push_back(b);
-                }
-                // Stage 2: finish the whole batch.
-                for (BuiltHandle &h : built) {
-                    double f0 = nowUs();
-                    fins.push_back(backend_.finish(std::move(h)));
-                    double f1 = nowUs();
-                    finishDurations.push_back(f1 - f0);
-                    if (telemetry_ != nullptr) {
-                        telemetry_->onFinish(telEpochUs + f1,
-                                             f1 - f0);
-                        const auto &ss = fins.back().shardSeconds;
-                        for (std::size_t s = 0; s < ss.size(); ++s)
-                            telemetry_->onShard(s, ss[s]);
-                    }
-                }
-            } catch (...) {
-                if (pipeError == nullptr)
-                    pipeError = std::current_exception();
-                continue;
-            }
-            // Barrier: everything completes at the batch boundary.
-            double batchEnd = nowUs();
-            for (std::size_t i = 0; i < live.size(); ++i) {
-                QueryRecord &rec =
-                    report.records[batch[live[i]].id];
-                recordDone(rec, batch[live[i]], std::move(fins[i]),
-                           batchEnd);
-                if (telemetry_ != nullptr)
-                    telemetry_->onTerminal(telEpochUs + batchEnd,
-                                           toLifecycle(rec));
-            }
-        }
-    }
-    while (config_.mode == PipelineMode::Pipelined) {
-        auto popped = queue.pop();
-        if (!popped.has_value())
-            break;
+    while (auto popped = queue.pop()) {
         ServeRequest req = std::move(*popped);
         QueryRecord &rec = report.records[req.id];
         double admitAt = nowUs();
@@ -389,8 +222,8 @@ Server::runImpl(const std::vector<Q> &queries)
             // work is spent on it.
             rec.status = QueryStatus::Expired;
             if (telemetry_ != nullptr)
-                telemetry_->onTerminal(telEpochUs + admitAt,
-                                       toLifecycle(rec));
+                telemetry_->onTerminal(telEpochUs + admitAt, rec,
+                                       telEpochUs);
             continue;
         }
         if (telemetry_ != nullptr)
@@ -433,17 +266,14 @@ Server::runImpl(const std::vector<Q> &queries)
             }
         });
     }
-    if (config_.mode == PipelineMode::Pipelined) {
-        {
-            std::lock_guard<std::mutex> lock(pipeMutex);
-            submitDone = true;
-        }
-        pipeCv.notify_all();
+    {
+        std::lock_guard<std::mutex> lock(pipeMutex);
+        submitDone = true;
     }
+    pipeCv.notify_all();
 
     generator.join();
-    if (finisher.joinable())
-        finisher.join();
+    finisher.join();
     report.elapsedUs = nowUs();
     if (pipeError != nullptr)
         std::rethrow_exception(pipeError);
@@ -461,7 +291,7 @@ Server::runImpl(const std::vector<Q> &queries)
             ++report.completed;
             if (rec.metDeadline)
                 ++report.good;
-            latencies.push_back(rec.finishUs - rec.arrivalUs);
+            latencies.push_back(rec.latencyUs());
             waits.push_back(rec.admitUs - rec.arrivalUs);
             break;
         case QueryStatus::Expired:
@@ -491,75 +321,7 @@ Server::runImpl(const std::vector<Q> &queries)
                             report.elapsedUs * 1e6;
     }
 
-    // Cumulative observability (single-threaded here, post-join).
-    statOffered_ += report.offered;
-    statCompleted_ += report.completed;
-    statShed_ += report.shed;
-    statExpired_ += report.expired;
-    statGood_ += report.good;
-    for (double l : latencies)
-        latencyUs_.sample(l);
-    for (double w : waits)
-        queueWaitUs_.sample(w);
-    for (const QueryRecord &rec : report.records) {
-        if (rec.buildEndUs >= 0.0 && rec.startUs >= 0.0)
-            buildUs_.sample(rec.buildEndUs - rec.startUs);
-    }
-    for (double f : finishDurations)
-        finishUs_.sample(f);
-    if (recorder_ != nullptr)
-        recordRun(report, recEpochUs);
     return report;
-}
-
-void
-Server::recordRun(const ServeReport &report, double recEpochUs)
-{
-    // Post-run emission from the terminal records: single-threaded,
-    // so lane registration is safe, and ordered by arrival id, so
-    // the merged stream is deterministic. Lanes are registered once
-    // per attached recorder; repeat runs reuse them.
-    if (laneOwner_ != recorder_) {
-        queueLane_ = recorder_->addLane(
-            "serve (host us)", "admission queue",
-            trace::Domain::HostMicros, 100);
-        execLane_ =
-            recorder_->addLane("serve (host us)", "execution",
-                               trace::Domain::HostMicros, 101);
-        laneOwner_ = recorder_;
-    }
-    std::uint16_t qLane = queueLane_;
-    std::uint16_t xLane = execLane_;
-    recorder_->beginPhase();
-    trace::Scope scope = recorder_->serial();
-    for (const QueryRecord &rec : report.records) {
-        switch (rec.status) {
-        case QueryStatus::Done:
-            scope.span(qLane, "queued", recEpochUs + rec.enqueueUs,
-                       rec.admitUs - rec.enqueueUs,
-                       {{"id", rec.id}});
-            scope.span(xLane, "serve", recEpochUs + rec.startUs,
-                       rec.finishUs - rec.startUs,
-                       {{"id", rec.id},
-                        {"met", rec.metDeadline ? 1u : 0u}});
-            break;
-        case QueryStatus::Expired:
-            scope.span(qLane, "queued", recEpochUs + rec.enqueueUs,
-                       rec.admitUs - rec.enqueueUs,
-                       {{"id", rec.id}});
-            scope.instant(xLane, "expired",
-                          recEpochUs + rec.admitUs,
-                          {{"id", rec.id}});
-            break;
-        case QueryStatus::Shed:
-            if (rec.enqueueUs >= 0.0) {
-                scope.instant(qLane, "shed",
-                              recEpochUs + rec.enqueueUs,
-                              {{"id", rec.id}});
-            }
-            break;
-        }
-    }
 }
 
 void
@@ -580,31 +342,6 @@ ServeReport
 Server::run(const std::vector<std::string> &qExpressions)
 {
     return runImpl(qExpressions);
-}
-
-void
-Server::registerStats(stats::Group &group)
-{
-    group.addCounter("offered", &statOffered_,
-                     "queries offered by the load generator");
-    group.addCounter("completed", &statCompleted_,
-                     "queries executed to completion");
-    group.addCounter("shed", &statShed_,
-                     "queries refused or evicted at admission");
-    group.addCounter("expired", &statExpired_,
-                     "queries whose deadline passed before dispatch");
-    group.addCounter("good", &statGood_,
-                     "queries completed within their deadline");
-    group.addHistogram(
-        "latency_us", &latencyUs_,
-        "completion latency from scheduled arrival (us)");
-    group.addHistogram(
-        "queue_wait_us", &queueWaitUs_,
-        "scheduled arrival to dispatch (us)");
-    group.addHistogram("build_us", &buildUs_,
-                       "host build stage wall time (us)");
-    group.addHistogram("finish_us", &finishUs_,
-                       "replay + merge stage wall time (us)");
 }
 
 } // namespace boss::serve

@@ -20,19 +20,16 @@
  *  - The admission queue bounds memory and sheds load per policy
  *    (admission.h); every offered query gets a terminal record:
  *    Done, Expired, or Shed.
- *  - Pipelined mode posts each admitted query's host build to a
- *    pool worker and finishes completed builds in admission order
- *    on a dedicated thread, so the serial device replay + merge of
- *    query i overlaps the builds of queries i+1.. — the
- *    intra/inter-request overlap that lifts sustained throughput.
- *    Barrier mode reproduces the pre-serving batch pattern
- *    (Device::searchBatch): accumulate admitted queries into a
- *    batch, build all, finish all, and only then deliver every
- *    result — the ablation baseline, whose batch boundary is
- *    exactly the stall the pipeline removes.
+ *  - Each admitted query's host build runs on a pool worker, and
+ *    completed builds finish in admission order on a dedicated
+ *    thread, so the serial device replay + merge of query i overlaps
+ *    the builds of queries i+1.. — the intra/inter-request overlap
+ *    that lifts sustained throughput.
  *  - Results are computed in the build stage, so serve-mode top-k
- *    is bit-identical to batch-mode top-k regardless of mode,
- *    thread count, or completion order.
+ *    is bit-identical to batch-mode top-k regardless of thread count
+ *    or completion order.
+ *  - Each query's QueryRecord (record.h) is the one account of it:
+ *    the report, the live telemetry and the Chrome trace all read it.
  */
 
 #ifndef BOSS_SERVE_SERVER_H
@@ -47,30 +44,17 @@
 #include "serve/admission.h"
 #include "serve/arrival.h"
 #include "serve/backend.h"
-#include "stats/stats.h"
+#include "serve/record.h"
 #include "telemetry/serve_telemetry.h"
-#include "trace/recorder.h"
 
 namespace boss::serve
 {
-
-enum class PipelineMode : std::uint8_t
-{
-    Pipelined,
-    /**
-     * Batch-accumulating build-all-then-finish-all with results
-     * delivered at the batch boundary — the Device::searchBatch
-     * barrier-per-batch pattern, kept as the ablation baseline.
-     */
-    Barrier,
-};
 
 struct ServeConfig
 {
     ArrivalConfig arrivals;
     std::size_t queueCapacity = 256;
     ShedPolicy policy = ShedPolicy::DropTail;
-    PipelineMode mode = PipelineMode::Pipelined;
     /**
      * Per-query completion deadline in microseconds, measured from
      * the scheduled arrival. Infinity disables SLO accounting
@@ -85,40 +69,6 @@ struct ServeConfig
     std::size_t warmup = 0;
     /** Bound on builds outstanding past the dispatcher. */
     std::size_t maxInFlight = 64;
-    /**
-     * Barrier mode only: max queries accumulated per batch. The
-     * dispatcher drains whatever is queued up to this bound (never
-     * waiting for a batch to fill), so light load degenerates to
-     * batches of one and heavy load pays the full barrier stall.
-     */
-    std::size_t barrierBatch = 32;
-};
-
-enum class QueryStatus : std::uint8_t
-{
-    Shed,    ///< refused (or evicted) at admission
-    Expired, ///< deadline already past at dispatch; never executed
-    Done,    ///< executed; metDeadline says if it counts as goodput
-};
-
-/** Terminal record of one offered query (indexed by arrival id). */
-struct QueryRecord
-{
-    std::uint64_t id = 0;
-    std::size_t queryIndex = 0;
-    QueryStatus status = QueryStatus::Shed;
-    bool metDeadline = false;
-    // Lifecycle timestamps, us from the run epoch; negative when the
-    // query never reached that stage.
-    double arrivalUs = 0.0;  ///< scheduled (open-loop) arrival
-    double enqueueUs = -1.0; ///< offered to admission
-    double admitUs = -1.0;    ///< popped by the dispatcher
-    double startUs = -1.0;    ///< build began on a worker
-    double buildEndUs = -1.0; ///< build completed on the worker
-    double finishUs = -1.0;   ///< replay + merge completed
-    double simSeconds = 0.0; ///< modeled device time
-    std::uint64_t deviceBytes = 0;
-    std::vector<engine::Result> topk;
 };
 
 struct ServeReport
@@ -152,27 +102,6 @@ class Server
     ServeReport run(const std::vector<std::string> &qExpressions);
 
     /**
-     * Register the server's cumulative counters and latency
-     * histograms (log-bucketed; p50/p99/p999 in the JSON dump)
-     * under @p group. Samples accumulate across run() calls.
-     */
-    void registerStats(stats::Group &group);
-
-    /**
-     * Attach a recorder: each run() then emits its per-query
-     * lifecycle onto two host-clock serve lanes — a "queued" span
-     * (offer → dispatch) and a "serve" span (build start → finish),
-     * plus shed/expired instants. Events are emitted after the run
-     * from the terminal records, so recording never perturbs the
-     * pipeline and the stream is deterministic in (scope, seq).
-     * The recorder must outlive the runs; nullptr detaches.
-     */
-    void setRecorder(trace::Recorder *recorder)
-    {
-        recorder_ = recorder;
-    }
-
-    /**
      * Attach live telemetry: every lifecycle transition then updates
      * the registry's counters and sliding windows *during* the run —
      * from the generator, dispatcher, pool-worker and finisher
@@ -188,33 +117,15 @@ class Server
     template <typename Q>
     ServeReport runImpl(const std::vector<Q> &queries);
 
-    void recordRun(const ServeReport &report, double recEpochUs);
-
     Backend &backend_;
     ServeConfig config_;
     telemetry::ServeTelemetry *telemetry_ = nullptr;
-    trace::Recorder *recorder_ = nullptr;
-    /** Serve lanes, registered once per attached recorder. */
-    trace::Recorder *laneOwner_ = nullptr;
-    std::uint16_t queueLane_ = 0;
-    std::uint16_t execLane_ = 0;
 
     /**
      * Per-worker decode scratch, persistent across runs (the warmed
      * buffers are the point of --warmup).
      */
     std::vector<engine::QueryArena> arenas_;
-
-    // Cumulative observability (see registerStats).
-    stats::Counter statOffered_;
-    stats::Counter statCompleted_;
-    stats::Counter statShed_;
-    stats::Counter statExpired_;
-    stats::Counter statGood_;
-    stats::Histogram latencyUs_{1.0, 1e7, 112, stats::Scale::Log};
-    stats::Histogram queueWaitUs_{1.0, 1e7, 112, stats::Scale::Log};
-    stats::Histogram buildUs_{1.0, 1e6, 96, stats::Scale::Log};
-    stats::Histogram finishUs_{1.0, 1e6, 96, stats::Scale::Log};
 };
 
 } // namespace boss::serve

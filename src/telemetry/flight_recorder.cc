@@ -1,6 +1,7 @@
 #include "telemetry/flight_recorder.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "trace/chrome_trace.h"
 #include "trace/recorder.h"
@@ -13,9 +14,9 @@ namespace
 
 /** Min-heap order: the fastest retained query sits at the front. */
 bool
-slowerFirst(const QueryLifecycle &a, const QueryLifecycle &b)
+slowerFirst(const FlightEntry &a, const FlightEntry &b)
 {
-    return a.latencyUs() > b.latencyUs();
+    return a.record.latencyUs() > b.record.latencyUs();
 }
 
 } // namespace
@@ -28,19 +29,20 @@ FlightRecorder::FlightRecorder(std::size_t slowCapacity,
 }
 
 void
-FlightRecorder::record(const QueryLifecycle &q)
+FlightRecorder::record(const serve::QueryRecord &rec, double epochUs)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++recorded_;
-    if (q.outcome == QueryLifecycle::Outcome::Done) {
+    if (rec.status == serve::QueryStatus::Done) {
         if (slowCapacity_ == 0)
             return;
         if (slow_.size() < slowCapacity_) {
-            slow_.push_back(q);
+            slow_.push_back({rec, epochUs});
             std::push_heap(slow_.begin(), slow_.end(), slowerFirst);
-        } else if (q.latencyUs() > slow_.front().latencyUs()) {
+        } else if (rec.latencyUs() >
+                   slow_.front().record.latencyUs()) {
             std::pop_heap(slow_.begin(), slow_.end(), slowerFirst);
-            slow_.back() = q;
+            slow_.back() = {rec, epochUs};
             std::push_heap(slow_.begin(), slow_.end(), slowerFirst);
         }
         return;
@@ -49,7 +51,7 @@ FlightRecorder::record(const QueryLifecycle &q)
         return;
     if (shed_.size() == shedCapacity_)
         shed_.pop_front();
-    shed_.push_back(q);
+    shed_.push_back({rec, epochUs});
 }
 
 std::uint64_t
@@ -77,22 +79,22 @@ double
 FlightRecorder::slowThresholdUs() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return slow_.empty() ? 0.0 : slow_.front().latencyUs();
+    return slow_.empty() ? 0.0 : slow_.front().record.latencyUs();
 }
 
-std::vector<QueryLifecycle>
+std::vector<FlightEntry>
 FlightRecorder::entries() const
 {
-    std::vector<QueryLifecycle> out;
+    std::vector<FlightEntry> out;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         out = slow_;
         std::sort(out.begin(), out.end(),
-                  [](const QueryLifecycle &a,
-                     const QueryLifecycle &b) {
-                      if (a.latencyUs() != b.latencyUs())
-                          return a.latencyUs() > b.latencyUs();
-                      return a.id < b.id;
+                  [](const FlightEntry &a, const FlightEntry &b) {
+                      if (a.record.latencyUs() != b.record.latencyUs())
+                          return a.record.latencyUs() >
+                                 b.record.latencyUs();
+                      return a.record.id < b.record.id;
                   });
         out.insert(out.end(), shed_.begin(), shed_.end());
     }
@@ -100,61 +102,47 @@ FlightRecorder::entries() const
 }
 
 void
-FlightRecorder::dumpChromeTrace(std::ostream &os) const
+dumpChromeTrace(std::ostream &os, const std::vector<FlightEntry> &entries)
 {
-    std::vector<QueryLifecycle> snap = entries();
     // A private single-use recorder: one worker buffer (unused —
-    // emission is serial), two host-µs lanes mirroring the serve
-    // trace layout so flight dumps and full traces line up in the
-    // same Perfetto workspace.
+    // emission is serial) and two host-µs lanes.
     trace::Recorder rec(1);
-    std::uint16_t qLane =
-        rec.addLane("flight (host us)", "queued",
-                    trace::Domain::HostMicros, 200);
-    std::uint16_t xLane =
-        rec.addLane("flight (host us)", "execution",
-                    trace::Domain::HostMicros, 201);
+    std::uint16_t qLane = rec.addLane("serve (host us)", "queued",
+                                      trace::Domain::HostMicros, 100);
+    std::uint16_t xLane = rec.addLane("serve (host us)", "execution",
+                                      trace::Domain::HostMicros, 101);
     rec.beginPhase();
     trace::Scope scope = rec.serial();
-    for (const QueryLifecycle &q : snap) {
-        // Slack at finish (or at the terminal instant), in µs,
-        // saturated at 0 — how much deadline budget was left.
-        auto slack = [&](double at) -> std::uint64_t {
-            if (q.deadlineUs < 0.0 || at < 0.0 ||
-                at > q.deadlineUs)
-                return 0;
-            return static_cast<std::uint64_t>(q.deadlineUs - at);
-        };
-        switch (q.outcome) {
-        case QueryLifecycle::Outcome::Done:
-            scope.span(qLane, "queued", q.enqueueUs,
+    for (const FlightEntry &e : entries) {
+        const serve::QueryRecord &q = e.record;
+        switch (q.status) {
+        case serve::QueryStatus::Done: {
+            // Deadline budget left at finish, saturated at 0 (and 0
+            // without an SLO).
+            const double slack = q.deadlineUs - q.finishUs;
+            scope.span(qLane, "queued", e.epochUs + q.enqueueUs,
                        q.admitUs - q.enqueueUs, {{"id", q.id}});
-            scope.span(xLane, "serve", q.startUs,
+            scope.span(xLane, "serve", e.epochUs + q.startUs,
                        q.finishUs - q.startUs,
                        {{"id", q.id},
-                        {"shards", q.shards},
                         {"met", q.metDeadline ? 1u : 0u},
                         {"latency_us",
-                         static_cast<std::uint64_t>(
-                             q.latencyUs())},
-                        {"slack_us", slack(q.finishUs)}});
+                         static_cast<std::uint64_t>(q.latencyUs())},
+                        {"slack_us",
+                         std::isfinite(slack) && slack > 0.0
+                             ? static_cast<std::uint64_t>(slack)
+                             : 0u}});
             break;
-        case QueryLifecycle::Outcome::Expired:
-            if (q.enqueueUs >= 0.0 && q.admitUs >= 0.0) {
-                scope.span(qLane, "queued", q.enqueueUs,
-                           q.admitUs - q.enqueueUs,
-                           {{"id", q.id}});
-            }
-            scope.instant(xLane, "expired",
-                          q.admitUs >= 0.0 ? q.admitUs
-                                           : q.enqueueUs,
+        }
+        case serve::QueryStatus::Expired:
+            scope.span(qLane, "queued", e.epochUs + q.enqueueUs,
+                       q.admitUs - q.enqueueUs, {{"id", q.id}});
+            scope.instant(xLane, "expired", e.epochUs + q.admitUs,
                           {{"id", q.id}});
             break;
-        case QueryLifecycle::Outcome::Shed:
-            scope.instant(
-                qLane, "shed",
-                q.enqueueUs >= 0.0 ? q.enqueueUs : q.arrivalUs,
-                {{"id", q.id}});
+        case serve::QueryStatus::Shed:
+            scope.instant(qLane, "shed", e.epochUs + q.enqueueUs,
+                          {{"id", q.id}});
             break;
         }
     }

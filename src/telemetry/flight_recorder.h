@@ -3,16 +3,16 @@
  * Slow-query flight recorder: bounded in-memory evidence for tail
  * forensics.
  *
- * Always-on tracing of a long-running server is unaffordable (and
- * PR 7 bounds the trace recorder for exactly that reason), but when
- * an operator asks "what did the p999 look like", the interesting
+ * Always-on tracing of a long-running server is unaffordable, but
+ * when an operator asks "what did the p999 look like", the interesting
  * queries are long gone. The flight recorder keeps just enough: a
  * bounded set of the *slowest* recently completed queries plus a
- * ring of the most recent shed/expired ones, each with its full
- * lifecycle timestamps and shard fan-out. On demand (HTTP /flight,
- * or --flight-out at exit) the buffer dumps as a Chrome trace
- * through the existing trace:: exporter — p999 forensics at ring-
- * buffer cost instead of always-on-tracing cost.
+ * ring of the most recent shed/expired ones, each the query's own
+ * serve::QueryRecord. On demand (HTTP /flight, or --flight-out at
+ * exit) the buffer dumps as a Chrome trace through the existing
+ * trace:: exporter — p999 forensics at ring-buffer cost instead of
+ * always-on-tracing cost. The same renderer draws a whole run's
+ * records (boss_serve --trace-out).
  */
 
 #ifndef BOSS_TELEMETRY_FLIGHT_RECORDER_H
@@ -24,45 +24,21 @@
 #include <ostream>
 #include <vector>
 
+#include "serve/record.h"
+
 namespace boss::telemetry
 {
 
-/**
- * Terminal lifecycle of one offered query, in the telemetry clock
- * domain (µs since the ServeTelemetry epoch). Negative timestamps
- * mean the query never reached that stage — the same convention as
- * serve::QueryRecord, which this mirrors without depending on the
- * serve layer.
- */
-struct QueryLifecycle
+/** A retained record and the epoch of the run that wrote it. */
+struct FlightEntry
 {
-    enum class Outcome : std::uint8_t
-    {
-        Done,
-        Expired,
-        Shed,
-    };
-
-    std::uint64_t id = 0;
-    std::uint64_t queryIndex = 0;
-    Outcome outcome = Outcome::Shed;
-    bool metDeadline = false;
-    double arrivalUs = 0.0;
-    double enqueueUs = -1.0;
-    double admitUs = -1.0;
-    double startUs = -1.0;
-    double buildEndUs = -1.0;
-    double finishUs = -1.0;
-    double deadlineUs = -1.0; ///< absolute; <0 when no SLO is set
-    std::uint32_t shards = 1; ///< fan-out of the executing backend
-    std::uint64_t deviceBytes = 0;
-
-    /** Completion latency from scheduled arrival; 0 if not Done. */
-    double latencyUs() const
-    {
-        return outcome == Outcome::Done ? finishUs - arrivalUs
-                                        : 0.0;
-    }
+    serve::QueryRecord record;
+    /**
+     * The run's epoch on the telemetry clock (µs); the renderer adds
+     * it to the record's run-relative timestamps, so entries from
+     * several runs share one timeline.
+     */
+    double epochUs = 0.0;
 };
 
 class FlightRecorder
@@ -75,10 +51,13 @@ class FlightRecorder
     explicit FlightRecorder(std::size_t slowCapacity = 64,
                             std::size_t shedCapacity = 64);
 
-    /** Record a terminal lifecycle. Thread-safe. */
-    void record(const QueryLifecycle &q);
+    /**
+     * Record a terminal record of the run whose epoch on the
+     * telemetry clock is @p epochUs. Thread-safe.
+     */
+    void record(const serve::QueryRecord &rec, double epochUs);
 
-    /** Total lifecycles ever offered to record(). */
+    /** Total records ever offered to record(). */
     std::uint64_t recorded() const;
     std::size_t slowCount() const;
     std::size_t shedCount() const;
@@ -89,15 +68,7 @@ class FlightRecorder
      * Stable copy of the buffer: slow set sorted by descending
      * latency, then shed/expired in arrival order.
      */
-    std::vector<QueryLifecycle> entries() const;
-
-    /**
-     * Dump the buffer as Chrome trace JSON via the trace::
-     * exporter: per-query "queued" and "serve" spans on two host-µs
-     * lanes plus shed/expired instants, each annotated with id,
-     * shard fan-out and deadline slack.
-     */
-    void dumpChromeTrace(std::ostream &os) const;
+    std::vector<FlightEntry> entries() const;
 
   private:
     const std::size_t slowCapacity_;
@@ -105,10 +76,20 @@ class FlightRecorder
 
     mutable std::mutex mutex_;
     /** Min-heap by latency (front = fastest = next eviction). */
-    std::vector<QueryLifecycle> slow_;
-    std::deque<QueryLifecycle> shed_;
+    std::vector<FlightEntry> slow_;
+    std::deque<FlightEntry> shed_;
     std::uint64_t recorded_ = 0;
 };
+
+/**
+ * Render @p entries as Chrome trace JSON via the trace:: exporter:
+ * for each record a "queued" span (offer → dispatch) and a "serve"
+ * span (build start → finish) on two host-µs lanes, or a "shed" or
+ * "expired" instant, annotated with the id, deadline outcome,
+ * latency and deadline slack.
+ */
+void dumpChromeTrace(std::ostream &os,
+                     const std::vector<FlightEntry> &entries);
 
 } // namespace boss::telemetry
 

@@ -172,7 +172,7 @@ HttpExporter::handleConnection(int fd)
                          "text/plain; version=0.0.4", body.str()));
     } else if (path == "/flight" && flight_ != nullptr) {
         std::ostringstream body;
-        flight_->dumpChromeTrace(body);
+        dumpChromeTrace(body, flight_->entries());
         sendAll(fd, response("200 OK", "application/json",
                              body.str()));
     } else if (path == "/healthz") {

@@ -1,6 +1,7 @@
 #include "telemetry/serve_telemetry.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace boss::telemetry
 {
@@ -204,21 +205,21 @@ ServeTelemetry::onOffered(double tUs)
 }
 
 void
-ServeTelemetry::onAdmission(double tUs, AdmitOutcome outcome,
+ServeTelemetry::onAdmission(double tUs, serve::Admission outcome,
                             std::size_t queueDepth)
 {
     (void)tUs;
     switch (outcome) {
-    case AdmitOutcome::Admitted:
+    case serve::Admission::Admitted:
         admitted_.inc();
         break;
-    case AdmitOutcome::ShedCapacity:
+    case serve::Admission::ShedCapacity:
         shedCapacity_.inc();
         break;
-    case AdmitOutcome::ShedDeadline:
+    case serve::Admission::ShedDeadline:
         shedDeadline_.inc();
         break;
-    case AdmitOutcome::Closed:
+    case serve::Admission::Closed:
         rejectedClosed_.inc();
         break;
     }
@@ -253,39 +254,37 @@ ServeTelemetry::onShard(std::size_t shard, double simSeconds)
 }
 
 void
-ServeTelemetry::onTerminal(double tUs, const QueryLifecycle &q)
+ServeTelemetry::onTerminal(double tUs, const serve::QueryRecord &rec,
+                           double epochUs)
 {
     flightRecorded_.inc();
-    switch (q.outcome) {
-    case QueryLifecycle::Outcome::Done: {
+    switch (rec.status) {
+    case serve::QueryStatus::Done: {
         completed_.inc();
         completedW_.add(tUs);
-        double latency = q.latencyUs();
+        double latency = rec.latencyUs();
         latencyUs_.sample(tUs, latency);
-        bool hasDeadline = q.deadlineUs >= 0.0;
-        if (hasDeadline) {
-            double budgetSpan = q.deadlineUs - q.arrivalUs;
-            if (budgetSpan > 0.0)
-                sloBudget_.sample(tUs, latency / budgetSpan);
-        }
-        if (q.metDeadline) {
+        double budgetSpan = rec.deadlineUs - rec.arrivalUs;
+        if (std::isfinite(budgetSpan) && budgetSpan > 0.0)
+            sloBudget_.sample(tUs, latency / budgetSpan);
+        if (rec.metDeadline) {
             good_.inc();
         } else {
             deadlineMissed_.inc();
         }
-        burn_.record(tUs, q.metDeadline);
+        burn_.record(tUs, rec.metDeadline);
         break;
     }
-    case QueryLifecycle::Outcome::Expired:
+    case serve::QueryStatus::Expired:
         expired_.inc();
         burn_.record(tUs, false);
         break;
-    case QueryLifecycle::Outcome::Shed:
+    case serve::QueryStatus::Shed:
         shed_.inc();
         burn_.record(tUs, false);
         break;
     }
-    flight_.record(q);
+    flight_.record(rec, epochUs);
 }
 
 void

@@ -13,9 +13,9 @@
  * render. Tests drive the hooks with virtual timestamps and get
  * deterministic windows.
  *
- * This header deliberately does not include anything from serve/ —
- * the dependency points the other way (serve links telemetry), so
- * the telemetry layer stays reusable for future backends.
+ * The hooks take the serve layer's own types from the header-only
+ * serve/record.h; the library dependency still points the other way
+ * (serve links telemetry, never the reverse).
  */
 
 #ifndef BOSS_TELEMETRY_SERVE_TELEMETRY_H
@@ -27,21 +27,13 @@
 #include <string>
 #include <vector>
 
+#include "serve/record.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 #include "telemetry/registry.h"
 
 namespace boss::telemetry
 {
-
-/** Admission decision, mirroring serve::Admission by value. */
-enum class AdmitOutcome : std::uint8_t
-{
-    Admitted,
-    ShedCapacity,
-    ShedDeadline,
-    Closed,
-};
 
 /**
  * Ingest-side metrics for mixed read/write serving: monotonic
@@ -119,7 +111,7 @@ class ServeTelemetry
 
     // ---- lifecycle hooks (thread-safe) ----
     void onOffered(double tUs);
-    void onAdmission(double tUs, AdmitOutcome outcome,
+    void onAdmission(double tUs, serve::Admission outcome,
                      std::size_t queueDepth);
     /** Admitted query reached the dispatcher after @p waitUs. */
     void onAdmit(double tUs, double waitUs);
@@ -130,13 +122,15 @@ class ServeTelemetry
     /** Per-shard replay accounting for one completed query. */
     void onShard(std::size_t shard, double simSeconds);
     /**
-     * Terminal record for one offered query; updates the outcome
+     * Terminal record for one offered query, from the run whose
+     * epoch on this clock is @p epochUs; updates the outcome
      * counters, the latency/SLO windows and the flight recorder.
      * Exactly one terminal call per offered query reconciles
      * offered == completed + shed + expired at all quiescent
      * points.
      */
-    void onTerminal(double tUs, const QueryLifecycle &q);
+    void onTerminal(double tUs, const serve::QueryRecord &rec,
+                    double epochUs);
 
     /**
      * Pre-size the per-shard breakdown (registers labeled

@@ -68,36 +68,12 @@ Recorder::hostMicros() const
 }
 
 void
-Recorder::setEventCapacity(std::size_t perBufferEvents)
-{
-    BOSS_ASSERT(eventCount() == 0,
-                "setEventCapacity must precede recording");
-    capacity_ = perBufferEvents;
-}
-
-std::uint64_t
-Recorder::droppedEvents() const
-{
-    std::uint64_t total = 0;
-    for (const auto &buf : buffers_)
-        total += buf.dropped;
-    return total;
-}
-
-void
 Recorder::push(std::size_t buffer, std::uint64_t scope, Event e)
 {
     auto &buf = buffers_[buffer];
     e.scope = scope;
     e.seq = buf.nextSeq++;
-    if (capacity_ == 0 || buf.events.size() < capacity_) {
-        buf.events.push_back(e);
-        return;
-    }
-    // Ring-full: overwrite the oldest retained event.
-    buf.events[buf.head] = e;
-    buf.head = (buf.head + 1) % capacity_;
-    ++buf.dropped;
+    buf.events.push_back(e);
 }
 
 std::vector<Event>

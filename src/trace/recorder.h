@@ -164,52 +164,27 @@ class Recorder
     /** Wall-clock µs since this recorder was constructed. */
     double hostMicros() const;
 
-    /**
-     * Bound each buffer to at most @p perBufferEvents events,
-     * evicting the oldest recorded event when full (ring-buffer
-     * semantics; evictions count in droppedEvents()). 0 restores
-     * the unbounded default. Long-running traced servers set this
-     * so the recorder cannot grow without limit. Must be called
-     * before any event is recorded — capacity is a structural
-     * decision, not a runtime knob.
-     */
-    void setEventCapacity(std::size_t perBufferEvents);
-    std::size_t eventCapacity() const { return capacity_; }
-
-    /** Events evicted by the ring bound, summed over buffers. */
-    std::uint64_t droppedEvents() const;
-
-    /** All retained events, deterministically ordered by
-     *  (scope, seq). With a capacity set, the oldest events of each
-     *  buffer may have been evicted. */
+    /** All events, deterministically ordered by (scope, seq). */
     std::vector<Event> merged() const;
 
     const std::vector<LaneInfo> &lanes() const { return lanes_; }
 
-    /** Events currently retained (diagnostics). */
+    /** Events recorded so far (diagnostics). */
     std::size_t eventCount() const;
 
   private:
     friend class Scope;
 
-    /**
-     * One event buffer (serial phase or pool worker). Unbounded
-     * buffers append; bounded buffers overwrite in ring order at
-     * head. seq is monotone over the buffer's lifetime — eviction
-     * never reorders survivors, so merged() stays deterministic.
-     */
+    /** One event buffer (serial phase or pool worker). */
     struct Buffer
     {
         std::vector<Event> events;
-        std::size_t head = 0;       ///< next eviction slot (ring)
         std::uint64_t nextSeq = 0;
-        std::uint64_t dropped = 0;
     };
 
     void push(std::size_t buffer, std::uint64_t scope, Event e);
 
     std::vector<Buffer> buffers_;
-    std::size_t capacity_ = 0; ///< per-buffer event cap; 0 = none
     std::vector<LaneInfo> lanes_;
     std::vector<std::uint16_t> workerLanes_;
     std::uint64_t phase_ = 0;

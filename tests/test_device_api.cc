@@ -70,6 +70,17 @@ TEST(DeviceTest, SearchMatchesFunctionalOracle)
     EXPECT_GT(outcome.deviceBytes, 0u);
 }
 
+TEST(DeviceTest, TermIdPastTheIndexIsFatal)
+{
+    // "t<N>" resolves without a lexicon; N must still name a list.
+    accel::Device dev;
+    dev.loadIndex(freshIndex());
+    const std::string past =
+        "\"t" + std::to_string(dev.index().numTerms()) + "\"";
+    EXPECT_EXIT(dev.search(past), ::testing::ExitedWithCode(1),
+                "outside the index");
+}
+
 TEST(DeviceTest, AccumulatesTotals)
 {
     accel::Device dev;

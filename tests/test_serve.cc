@@ -3,9 +3,10 @@
  * Serving-layer tests: arrival-schedule determinism, admission
  * queue invariants and shed policies, deadline handling, and the
  * core contract — serve-mode top-k is bit-identical to batch-mode
- * top-k for every pipeline mode, thread count and shard count. The
- * live path serves a segmented index through the same partitioned
- * backend, checked against the segment oracle and the time rule.
+ * top-k for every thread count and shard count. The live path
+ * serves a segmented index through the same partitioned backend,
+ * checked against the segment oracle and the time rule. Attached
+ * telemetry must count exactly what the report counts.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "serve/arrival.h"
 #include "serve/backend.h"
 #include "serve/server.h"
+#include "telemetry/serve_telemetry.h"
 #include "workload/corpus.h"
 #include "workload/queries.h"
 
@@ -257,14 +259,13 @@ class ServeTest : public ::testing::Test
 
     /** A fast serve config: every query admitted and completed. */
     static serve::ServeConfig
-    lossless(std::size_t count, serve::PipelineMode mode)
+    lossless(std::size_t count)
     {
         serve::ServeConfig cfg;
         cfg.arrivals.qps = 50'000.0;
         cfg.arrivals.count = count;
         cfg.arrivals.seed = 7;
         cfg.policy = serve::ShedPolicy::Block;
-        cfg.mode = mode;
         cfg.warmup = 2;
         return cfg;
     }
@@ -297,9 +298,7 @@ TEST_F(ServeTest, ServeMatchesBatchBitExactly)
     auto batch = device.searchBatch(*queries_);
 
     serve::DeviceBackend backend(device);
-    serve::Server server(
-        backend, lossless(3 * queries_->size(),
-                          serve::PipelineMode::Pipelined));
+    serve::Server server(backend, lossless(3 * queries_->size()));
     auto report = server.run(*queries_);
 
     ASSERT_EQ(report.completed, report.offered);
@@ -310,28 +309,6 @@ TEST_F(ServeTest, ServeMatchesBatchBitExactly)
         ASSERT_EQ(rec.status, serve::QueryStatus::Done);
         expectSameResults(rec.topk, batch.perQuery[rec.queryIndex]);
     }
-}
-
-TEST_F(ServeTest, PipelinedAndBarrierModesAgreeBitExactly)
-{
-    common::ThreadPool::setGlobalThreads(4);
-    accel::Device device;
-    device.loadIndex(corpus_->buildIndex(*terms_));
-    serve::DeviceBackend backend(device);
-
-    serve::Server pipelined(
-        backend,
-        lossless(2 * queries_->size(),
-                 serve::PipelineMode::Pipelined));
-    auto a = pipelined.run(*queries_);
-    serve::Server barrier(
-        backend, lossless(2 * queries_->size(),
-                          serve::PipelineMode::Barrier));
-    auto b = barrier.run(*queries_);
-
-    ASSERT_EQ(a.records.size(), b.records.size());
-    for (std::size_t i = 0; i < a.records.size(); ++i)
-        expectSameResults(a.records[i].topk, b.records[i].topk);
 }
 
 TEST_F(ServeTest, ShardedServeMatchesShardedBatchBitExactly)
@@ -348,9 +325,7 @@ TEST_F(ServeTest, ShardedServeMatchesShardedBatchBitExactly)
     api::ShardedDevice servedev(scfg);
     servedev.loadIndex(global);
     serve::ShardedBackend backend(servedev);
-    serve::Server server(
-        backend, lossless(2 * queries_->size(),
-                          serve::PipelineMode::Pipelined));
+    serve::Server server(backend, lossless(2 * queries_->size()));
     auto report = server.run(*queries_);
 
     ASSERT_EQ(report.completed, report.offered);
@@ -390,7 +365,7 @@ TEST_F(ServeTest, ExpiredDeadlinesAreNeverGoodput)
     device.loadIndex(corpus_->buildIndex(*terms_));
     serve::DeviceBackend backend(device);
 
-    auto cfg = lossless(50, serve::PipelineMode::Pipelined);
+    auto cfg = lossless(50);
     // A deadline far below queue + execution time: every query
     // either expires at dispatch or completes past its deadline —
     // goodput must be zero either way, and expiry must not crash
@@ -444,6 +419,43 @@ TEST_F(ServeTest, ServeReportAccountingIsConsistent)
     }
 }
 
+TEST_F(ServeTest, TelemetryCountsEqualTheReport)
+{
+    common::ThreadPool::setGlobalThreads(2);
+    accel::Device device;
+    device.loadIndex(corpus_->buildIndex(*terms_));
+    serve::DeviceBackend backend(device);
+
+    // Overdrive a tiny drop-tail queue under a deadline, with live
+    // telemetry attached to every lifecycle transition.
+    serve::ServeConfig cfg;
+    cfg.arrivals.qps = 200'000.0;
+    cfg.arrivals.count = 300;
+    cfg.arrivals.seed = 5;
+    cfg.queueCapacity = 4;
+    cfg.policy = serve::ShedPolicy::DropTail;
+    cfg.deadlineUs = 10'000.0;
+    cfg.warmup = 2;
+    telemetry::ServeTelemetry telemetry;
+    serve::Server server(backend, cfg);
+    server.setTelemetry(&telemetry);
+    auto report = server.run(*queries_);
+
+    ASSERT_GT(report.shed, 0u);
+    ASSERT_GT(report.completed, 0u);
+    EXPECT_EQ(telemetry.offered(), report.offered);
+    EXPECT_EQ(telemetry.completed(), report.completed);
+    EXPECT_EQ(telemetry.shed(), report.shed);
+    EXPECT_EQ(telemetry.expired(), report.expired);
+    EXPECT_EQ(telemetry.good(), report.good);
+    // The flight recorder holds the run's own records, so its
+    // slowest entry is the report's maximum latency, bit for bit.
+    const auto entries = telemetry.flight().entries();
+    ASSERT_FALSE(entries.empty());
+    ASSERT_EQ(entries.front().record.status, serve::QueryStatus::Done);
+    EXPECT_EQ(entries.front().record.latencyUs(), report.latencyMaxUs);
+}
+
 // ---------------------------------------------------------------
 // Partitioned serving: time rule and the live (segmented) path.
 // ---------------------------------------------------------------
@@ -489,9 +501,7 @@ TEST_F(ServeTest, ShardedServeTimeIsTheSlowestShard)
     device.loadShards(corpus_->buildShardedIndex(*terms_, 3));
     serve::ShardedBackend backend(device);
     RecordingBackend recording(backend);
-    serve::Server server(
-        recording,
-        lossless(queries_->size(), serve::PipelineMode::Pipelined));
+    serve::Server server(recording, lossless(queries_->size()));
     auto report = server.run(*queries_);
 
     ASSERT_EQ(report.completed, report.offered);
@@ -548,9 +558,7 @@ TEST_F(ServeTest, LiveServeMatchesSegmentOracleAndSumsSegmentTimes)
     serve::ShardedBackend backend(device);
     RecordingBackend recording(backend);
     EXPECT_EQ(recording.shards(), 1u);
-    serve::Server server(
-        recording, lossless(2 * queries_->size(),
-                            serve::PipelineMode::Pipelined));
+    serve::Server server(recording, lossless(2 * queries_->size()));
     auto report = server.run(*queries_);
 
     ASSERT_EQ(report.completed, report.offered);

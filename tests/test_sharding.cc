@@ -336,6 +336,19 @@ TEST_F(ShardingTest, ExpressionQueriesWorkOnShardedDevice)
     EXPECT_EQ(device.search(expr).topk, single.search(expr).topk);
 }
 
+TEST_F(ShardingTest, TermIdPastTheShardsIsFatal)
+{
+    api::ShardedDeviceConfig cfg;
+    cfg.shards = 2;
+    api::ShardedDevice device(cfg);
+    device.loadShards(corpus_->buildShardedIndex(*terms_, 2));
+    const std::string past =
+        "\"t" + std::to_string(device.shard(0).index().numTerms()) +
+        "\"";
+    EXPECT_EXIT(device.search(past), ::testing::ExitedWithCode(1),
+                "outside the index");
+}
+
 TEST_F(ShardingTest, StatsJsonCoversEveryShard)
 {
     api::ShardedDeviceConfig cfg;

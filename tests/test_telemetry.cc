@@ -2,7 +2,8 @@
  * @file
  * Tests for the live telemetry layer: windowed metric primitives
  * (decay, slot reuse, burn-rate math), the registry's two
- * renderers, the flight recorder's bounded forensics, the
+ * renderers, the flight recorder's bounded forensics and its
+ * Chrome trace renderer (on hand-made and served records), the
  * snapshotter's JSONL emission, the HTTP exporter, and the
  * ServeTelemetry lifecycle reconciliation invariant. All window
  * arithmetic runs on virtual timestamps, so every expectation is
@@ -11,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,12 +30,17 @@
 #include <unistd.h>
 #endif
 
+#include "boss/device.h"
+#include "serve/backend.h"
+#include "serve/server.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/http_exporter.h"
 #include "telemetry/metrics.h"
 #include "telemetry/registry.h"
 #include "telemetry/serve_telemetry.h"
 #include "telemetry/snapshotter.h"
+#include "workload/corpus.h"
+#include "workload/queries.h"
 
 namespace
 {
@@ -343,14 +352,140 @@ TEST(Registry, ConcurrentSampleAndRenderIsClean)
 // ---------------------------------------------------------------
 // FlightRecorder
 
-QueryLifecycle
+/** One Chrome trace event: its name and phase ("X", "i", "M"). */
+struct TraceEvent
+{
+    std::string name;
+    std::string ph;
+};
+
+/**
+ * A strict reader for the Chrome trace JSON the exporter writes: one
+ * array of objects whose values are strings, numbers or (args)
+ * objects. read() fails on anything else, trailing text included.
+ */
+class TraceReader
+{
+  public:
+    explicit TraceReader(std::string text) : s_(std::move(text)) {}
+
+    bool
+    read(std::vector<TraceEvent> &out)
+    {
+        if (!eat('['))
+            return false;
+        do {
+            TraceEvent e;
+            if (!object(&e))
+                return false;
+            out.push_back(e);
+        } while (eat(','));
+        if (!eat(']'))
+            return false;
+        skipSpace();
+        return i_ == s_.size();
+    }
+
+  private:
+    void
+    skipSpace()
+    {
+        while (i_ < s_.size() &&
+               std::isspace(static_cast<unsigned char>(s_[i_])))
+            ++i_;
+    }
+
+    bool
+    eat(char c)
+    {
+        skipSpace();
+        if (i_ < s_.size() && s_[i_] == c) {
+            ++i_;
+            return true;
+        }
+        return false;
+    }
+
+    bool
+    string(std::string &out)
+    {
+        if (!eat('"'))
+            return false;
+        while (i_ < s_.size() && s_[i_] != '"') {
+            if (s_[i_] == '\\')
+                ++i_;
+            if (i_ < s_.size())
+                out += s_[i_++];
+        }
+        return i_++ < s_.size();
+    }
+
+    bool
+    number()
+    {
+        skipSpace();
+        const std::size_t start = i_;
+        while (i_ < s_.size() &&
+               (std::isdigit(static_cast<unsigned char>(s_[i_])) ||
+                std::strchr("+-.eE", s_[i_]) != nullptr))
+            ++i_;
+        return i_ > start;
+    }
+
+    /** One object; records name and ph into @p e when non-null. */
+    bool
+    object(TraceEvent *e)
+    {
+        if (!eat('{'))
+            return false;
+        if (eat('}'))
+            return true;
+        do {
+            std::string key;
+            if (!string(key) || !eat(':'))
+                return false;
+            skipSpace();
+            if (i_ < s_.size() && s_[i_] == '"') {
+                std::string value;
+                if (!string(value))
+                    return false;
+                if (e != nullptr && key == "name")
+                    e->name = value;
+                if (e != nullptr && key == "ph")
+                    e->ph = value;
+            } else if (i_ < s_.size() && s_[i_] == '{') {
+                if (!object(nullptr))
+                    return false;
+            } else if (!number()) {
+                return false;
+            }
+        } while (eat(','));
+        return eat('}');
+    }
+
+    std::string s_;
+    std::size_t i_ = 0;
+};
+
+std::uint64_t
+countEvents(const std::vector<TraceEvent> &events, const char *name,
+            const char *ph)
+{
+    return static_cast<std::uint64_t>(std::count_if(
+        events.begin(), events.end(), [&](const TraceEvent &e) {
+            return e.name == name && e.ph == ph;
+        }));
+}
+
+serve::QueryRecord
 doneQuery(std::uint64_t id, double latencyUs)
 {
-    QueryLifecycle q;
+    serve::QueryRecord q;
     q.id = id;
     q.queryIndex = id;
-    q.outcome = QueryLifecycle::Outcome::Done;
+    q.status = serve::QueryStatus::Done;
     q.arrivalUs = 1000.0 * static_cast<double>(id);
+    q.enqueueUs = q.arrivalUs + 5.0;
     q.admitUs = q.arrivalUs + 10.0;
     q.startUs = q.arrivalUs + 20.0;
     q.buildEndUs = q.arrivalUs + latencyUs * 0.5;
@@ -363,7 +498,8 @@ TEST(FlightRecorder, KeepsTheSlowestN)
 {
     FlightRecorder rec(4, 4);
     for (std::uint64_t id = 1; id <= 10; ++id)
-        rec.record(doneQuery(id, static_cast<double>(id) * 100.0));
+        rec.record(doneQuery(id, static_cast<double>(id) * 100.0),
+                   0.0);
 
     EXPECT_EQ(rec.recorded(), 10u);
     EXPECT_EQ(rec.slowCount(), 4u);
@@ -371,59 +507,101 @@ TEST(FlightRecorder, KeepsTheSlowestN)
     auto entries = rec.entries();
     ASSERT_EQ(entries.size(), 4u);
     // Sorted by descending latency: ids 10, 9, 8, 7.
-    EXPECT_EQ(entries[0].id, 10u);
-    EXPECT_EQ(entries[1].id, 9u);
-    EXPECT_EQ(entries[2].id, 8u);
-    EXPECT_EQ(entries[3].id, 7u);
+    EXPECT_EQ(entries[0].record.id, 10u);
+    EXPECT_EQ(entries[1].record.id, 9u);
+    EXPECT_EQ(entries[2].record.id, 8u);
+    EXPECT_EQ(entries[3].record.id, 7u);
 }
 
 TEST(FlightRecorder, ShedRingKeepsMostRecent)
 {
     FlightRecorder rec(2, 2);
     for (std::uint64_t id = 0; id < 5; ++id) {
-        QueryLifecycle q;
+        serve::QueryRecord q;
         q.id = id;
-        q.outcome = id % 2 == 0 ? QueryLifecycle::Outcome::Shed
-                                : QueryLifecycle::Outcome::Expired;
+        q.status = id % 2 == 0 ? serve::QueryStatus::Shed
+                               : serve::QueryStatus::Expired;
         q.arrivalUs = static_cast<double>(id);
-        rec.record(q);
+        rec.record(q, 0.0);
     }
     EXPECT_EQ(rec.shedCount(), 2u);
     auto entries = rec.entries();
     ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].id, 3u);
-    EXPECT_EQ(entries[1].id, 4u);
+    EXPECT_EQ(entries[0].record.id, 3u);
+    EXPECT_EQ(entries[1].record.id, 4u);
 }
 
 TEST(FlightRecorder, ChromeTraceDumpRoundTrips)
 {
     FlightRecorder rec(8, 8);
-    rec.record(doneQuery(1, 500.0));
-    QueryLifecycle shed;
-    shed.id = 2;
-    shed.outcome = QueryLifecycle::Outcome::Shed;
-    shed.arrivalUs = 123.0;
-    rec.record(shed);
+    rec.record(doneQuery(1, 500.0), 0.0);
+    serve::QueryRecord refused;
+    refused.id = 2;
+    refused.arrivalUs = 123.0;
+    refused.enqueueUs = 124.0;
+    rec.record(refused, 1e6);
 
     std::ostringstream os;
-    rec.dumpChromeTrace(os);
-    std::string text = os.str();
+    dumpChromeTrace(os, rec.entries());
+    std::vector<TraceEvent> events;
+    ASSERT_TRUE(TraceReader(os.str()).read(events)) << os.str();
+    // The done query renders two spans, the shed one an instant.
+    EXPECT_EQ(countEvents(events, "queued", "X"), 1u);
+    EXPECT_EQ(countEvents(events, "serve", "X"), 1u);
+    EXPECT_EQ(countEvents(events, "shed", "i"), 1u);
 
-    // Chrome trace array form with balanced brackets.
-    ASSERT_FALSE(text.empty());
-    EXPECT_EQ(text.front(), '[');
-    EXPECT_NE(text.find("\"ph\""), std::string::npos);
-    long curly = 0, square = 0;
-    for (char c : text) {
-        curly += c == '{' ? 1 : c == '}' ? -1 : 0;
-        square += c == '[' ? 1 : c == ']' ? -1 : 0;
+    // Served records through the same renderer, from two runs laid
+    // end to end on one timeline: an overloaded drop-tail run
+    // (completions and refusals) and a run whose deadline has passed
+    // by the time any query reaches the dispatcher (expiries).
+    workload::CorpusConfig ccfg;
+    ccfg.numDocs = 5'000;
+    ccfg.vocabSize = 200;
+    ccfg.seed = 3;
+    workload::Corpus corpus(ccfg);
+    workload::QueryWorkloadConfig qcfg;
+    qcfg.vocabSize = ccfg.vocabSize;
+    qcfg.seed = 9;
+    auto queries = workload::sampleQueries(qcfg, 16);
+    accel::Device device;
+    device.loadIndex(corpus.buildIndex(workload::collectTerms(queries)));
+    serve::DeviceBackend backend(device);
+    serve::ServeConfig overload;
+    overload.arrivals.qps = 200'000.0;
+    overload.arrivals.count = 200;
+    overload.arrivals.seed = 4;
+    overload.queueCapacity = 4;
+    overload.maxInFlight = 1;
+    overload.policy = serve::ShedPolicy::DropTail;
+    serve::ServeConfig expiring = overload;
+    expiring.policy = serve::ShedPolicy::Block;
+    expiring.deadlineUs = 1e-3;
+
+    std::vector<FlightEntry> served;
+    std::uint64_t completed = 0, shed = 0, expired = 0;
+    double epochUs = 0.0;
+    for (const serve::ServeConfig &cfg : {overload, expiring}) {
+        serve::Server server(backend, cfg);
+        const serve::ServeReport report = server.run(queries);
+        for (const serve::QueryRecord &r : report.records)
+            served.push_back({r, epochUs});
+        epochUs += report.elapsedUs;
+        completed += report.completed;
+        shed += report.shed;
+        expired += report.expired;
     }
-    EXPECT_EQ(curly, 0);
-    EXPECT_EQ(square, 0);
-    // The done query renders spans, the shed one an instant.
-    EXPECT_NE(text.find("queued"), std::string::npos);
-    EXPECT_NE(text.find("serve"), std::string::npos);
-    EXPECT_NE(text.find("shed"), std::string::npos);
+    ASSERT_GT(completed, 0u);
+    ASSERT_GT(shed, 0u);
+    ASSERT_GT(expired, 0u);
+
+    std::ostringstream run;
+    dumpChromeTrace(run, served);
+    events.clear();
+    ASSERT_TRUE(TraceReader(run.str()).read(events));
+    EXPECT_EQ(countEvents(events, "serve", "X"), completed);
+    EXPECT_EQ(countEvents(events, "queued", "X"), completed + expired);
+    EXPECT_EQ(countEvents(events, "shed", "i"), shed);
+    EXPECT_EQ(countEvents(events, "expired", "i"), expired);
 }
 
 // ---------------------------------------------------------------
@@ -448,53 +626,50 @@ TEST(ServeTelemetry, LifecycleReconcilesExactly)
     for (int i = 0; i < 6; ++i) {
         double t0 = 1000.0 * i;
         std::uint64_t qid = offerAt(t0);
-        tel.onAdmission(t0, AdmitOutcome::Admitted, i);
+        tel.onAdmission(t0, serve::Admission::Admitted, i);
         tel.onAdmit(t0 + 50.0, 50.0);
         tel.onBuild(t0 + 150.0, 100.0);
         tel.onFinish(t0 + 400.0, 250.0);
         tel.onShard(0, 1e-4);
         tel.onShard(1, 2e-4);
-        QueryLifecycle q;
+        serve::QueryRecord q;
         q.id = qid;
-        q.outcome = QueryLifecycle::Outcome::Done;
+        q.status = serve::QueryStatus::Done;
         q.arrivalUs = t0;
         q.admitUs = t0 + 50.0;
         q.finishUs = t0 + 400.0;
         q.deadlineUs = t0 + (i == 5 ? 300.0 : 1000.0);
         q.metDeadline = i != 5;
-        q.shards = 2;
-        tel.onTerminal(t0 + 400.0, q);
+        tel.onTerminal(t0 + 400.0, q, 0.0);
     }
     for (int i = 0; i < 2; ++i) {
         double t0 = 7000.0 + 100.0 * i;
         std::uint64_t qid = offerAt(t0);
-        tel.onAdmission(t0, AdmitOutcome::ShedCapacity, 99);
-        QueryLifecycle q;
+        tel.onAdmission(t0, serve::Admission::ShedCapacity, 99);
+        serve::QueryRecord q;
         q.id = qid;
-        q.outcome = QueryLifecycle::Outcome::Shed;
         q.arrivalUs = t0;
-        tel.onTerminal(t0, q);
+        tel.onTerminal(t0, q, 0.0);
     }
     {
         double t0 = 8000.0;
         std::uint64_t qid = offerAt(t0);
-        tel.onAdmission(t0, AdmitOutcome::Closed, 0);
-        QueryLifecycle q;
+        tel.onAdmission(t0, serve::Admission::Closed, 0);
+        serve::QueryRecord q;
         q.id = qid;
-        q.outcome = QueryLifecycle::Outcome::Shed;
         q.arrivalUs = t0;
-        tel.onTerminal(t0, q);
+        tel.onTerminal(t0, q, 0.0);
     }
     {
         double t0 = 9000.0;
         std::uint64_t qid = offerAt(t0);
-        tel.onAdmission(t0, AdmitOutcome::Admitted, 1);
-        QueryLifecycle q;
+        tel.onAdmission(t0, serve::Admission::Admitted, 1);
+        serve::QueryRecord q;
         q.id = qid;
-        q.outcome = QueryLifecycle::Outcome::Expired;
+        q.status = serve::QueryStatus::Expired;
         q.arrivalUs = t0;
         q.deadlineUs = t0 + 10.0;
-        tel.onTerminal(t0 + 500.0, q);
+        tel.onTerminal(t0 + 500.0, q, 0.0);
     }
 
     // The acceptance-bar invariant: every offered query reached
@@ -541,17 +716,15 @@ TEST(ServeTelemetry, BurnRateReflectsBadTerminals)
     // 99 good completions + 1 shed in slice 0: burn is exactly 1.
     for (int i = 0; i < 100; ++i) {
         tel.onOffered(0.5e6);
-        QueryLifecycle q;
+        serve::QueryRecord q;
         q.id = static_cast<std::uint64_t>(i);
         q.arrivalUs = 0.4e6;
-        if (i == 0) {
-            q.outcome = QueryLifecycle::Outcome::Shed;
-        } else {
-            q.outcome = QueryLifecycle::Outcome::Done;
+        if (i != 0) {
+            q.status = serve::QueryStatus::Done;
             q.finishUs = 0.5e6;
             q.metDeadline = true;
         }
-        tel.onTerminal(0.5e6, q);
+        tel.onTerminal(0.5e6, q, 0.0);
     }
 
     std::ostringstream os;
@@ -649,8 +822,7 @@ TEST(HttpExporter, ServesMetricsFlightAndHealth)
 {
     ServeTelemetry tel;
     tel.onOffered(100.0);
-    QueryLifecycle q = doneQuery(1, 400.0);
-    tel.onTerminal(500.0, q);
+    tel.onTerminal(500.0, doneQuery(1, 400.0), 0.0);
 
     HttpExporter::Config cfg;
     cfg.port = 0; // ephemeral
@@ -710,27 +882,27 @@ TEST(ServeTelemetry, ConcurrentHooksReconcile)
                 double tUs =
                     static_cast<double>(i) * 25.0 + t * 7.0;
                 tel.onOffered(tUs);
-                QueryLifecycle q;
+                serve::QueryRecord q;
                 q.id = static_cast<std::uint64_t>(t) * kPerThread +
                        i;
                 q.arrivalUs = tUs;
                 if (i % 10 == 0) {
                     tel.onAdmission(tUs,
-                                    AdmitOutcome::ShedCapacity, 5);
-                    q.outcome = QueryLifecycle::Outcome::Shed;
+                                    serve::Admission::ShedCapacity,
+                                    5);
                 } else {
-                    tel.onAdmission(tUs, AdmitOutcome::Admitted,
+                    tel.onAdmission(tUs, serve::Admission::Admitted,
                                     2);
                     tel.onAdmit(tUs + 5.0, 5.0);
                     tel.onBuild(tUs + 50.0, 45.0);
                     tel.onFinish(tUs + 90.0, 40.0);
                     tel.onShard(static_cast<std::size_t>(i % 4),
                                 1e-5);
-                    q.outcome = QueryLifecycle::Outcome::Done;
+                    q.status = serve::QueryStatus::Done;
                     q.finishUs = tUs + 90.0;
                     q.metDeadline = true;
                 }
-                tel.onTerminal(tUs + 90.0, q);
+                tel.onTerminal(tUs + 90.0, q, 0.0);
             }
         });
     }

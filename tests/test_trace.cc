@@ -99,60 +99,6 @@ TEST(RecorderTest, ArgsBeyondCapacityAreDropped)
     EXPECT_EQ(events[0].numArgs, 6u);
 }
 
-TEST(RecorderTest, EventCapacityBoundsTheBuffer)
-{
-    trace::Recorder rec(1);
-    auto lane = rec.addLane("p", "t", trace::Domain::HostMicros);
-    rec.setEventCapacity(4);
-    EXPECT_EQ(rec.eventCapacity(), 4u);
-    auto base = rec.beginPhase();
-    for (std::uint64_t i = 0; i < 10; ++i)
-        rec.scope(0, base).instant(lane, "e", static_cast<double>(i),
-                                   {{"i", i}});
-
-    // The ring retained the newest 4 and counted the evictions.
-    EXPECT_EQ(rec.eventCount(), 4u);
-    EXPECT_EQ(rec.droppedEvents(), 6u);
-    auto events = rec.merged();
-    ASSERT_EQ(events.size(), 4u);
-    // Survivors keep their recording order: eviction drops the
-    // oldest, never reorders.
-    for (std::size_t i = 0; i < events.size(); ++i)
-        EXPECT_EQ(events[i].args[0].value, 6u + i);
-}
-
-TEST(RecorderTest, UnboundedRecorderNeverDrops)
-{
-    trace::Recorder rec(1);
-    auto lane = rec.addLane("p", "t", trace::Domain::HostMicros);
-    auto base = rec.beginPhase();
-    for (std::uint64_t i = 0; i < 100; ++i)
-        rec.scope(0, base).instant(lane, "e",
-                                   static_cast<double>(i));
-    EXPECT_EQ(rec.eventCount(), 100u);
-    EXPECT_EQ(rec.droppedEvents(), 0u);
-}
-
-TEST(RecorderTest, CapacityBoundsEachWorkerBufferIndependently)
-{
-    trace::Recorder rec(2);
-    auto lane = rec.addLane("p", "t", trace::Domain::HostMicros);
-    rec.setEventCapacity(3);
-    auto base = rec.beginPhase();
-    // Worker 0 overflows its ring; worker 1 stays under the cap.
-    for (std::uint64_t i = 0; i < 5; ++i)
-        rec.scope(0, base + 0).instant(lane, "w0",
-                                       static_cast<double>(i));
-    rec.scope(1, base + 1).instant(lane, "w1", 0.0);
-
-    EXPECT_EQ(rec.eventCount(), 4u);
-    EXPECT_EQ(rec.droppedEvents(), 2u);
-    auto events = rec.merged();
-    ASSERT_EQ(events.size(), 4u);
-    EXPECT_STREQ(events[0].name, "w0");
-    EXPECT_STREQ(events[3].name, "w1");
-}
-
 TEST(RecorderTest, ParallelRecordingIsDeterministic)
 {
     common::ThreadPool::setGlobalThreads(4);

@@ -36,20 +36,16 @@
  *   --queue N            admission queue capacity (default 256)
  *   --policy=POL         block | drop-tail | drop-deadline
  *                        (default drop-tail)
- *   --mode=MODE          pipelined | barrier (default pipelined;
- *                        barrier is the no-overlap ablation)
  *   --deadline-us X      per-query SLO from scheduled arrival
  *                        (default: none; enables goodput/shedding
  *                        by deadline)
  *   --warmup N           unrecorded warmup queries (default 32)
  *   --shards N           serve from N sharded devices (default 1)
  *   --threads N          host pool size (default: all hardware)
- *   --stats-json=FILE    serve stats group as JSON (log-bucketed
- *                        latency histograms with p50/p99/p999)
- *   --trace-out=FILE     Chrome trace of per-query queue/serve
+ *   --stats-json=FILE    the run's report as JSON: counts, exact
+ *                        p50/p99/p999/max latency, admission counters
+ *   --trace-out=FILE     Chrome trace of every query's queue/serve
  *                        spans (load in Perfetto)
- *   --trace-cap N        per-buffer trace event ring capacity
- *                        (default 65536; 0 = unbounded)
  *   --metrics-out=FILE   append one JSONL metrics snapshot per
  *                        period while serving (see boss_top)
  *   --metrics-period-ms X  snapshot period (default 500)
@@ -84,6 +80,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <optional>
 #include <string>
 #include <thread>
@@ -95,11 +92,10 @@
 #include "common/thread_pool.h"
 #include "kernels/kernels.h"
 #include "serve/server.h"
-#include "stats/stats.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/http_exporter.h"
 #include "telemetry/serve_telemetry.h"
 #include "telemetry/snapshotter.h"
-#include "trace/chrome_trace.h"
 #include "trace/json.h"
 #include "workload/queries.h"
 
@@ -117,16 +113,12 @@ struct Options
     std::size_t queueCapacity = 256;
     boss::serve::ShedPolicy policy =
         boss::serve::ShedPolicy::DropTail;
-    boss::serve::PipelineMode mode =
-        boss::serve::PipelineMode::Pipelined;
     double deadlineUs =
         std::numeric_limits<double>::infinity();
     std::size_t warmup = 32;
     long shards = 1;
     std::string statsJson;
     std::string traceOut;
-    /** Serve-mode trace memory bound; 0 = unbounded (batch-like). */
-    std::size_t traceCap = 65536;
     std::string metricsOut;
     double metricsPeriodMs = 500.0;
     long metricsPort = -1; ///< -1 = no HTTP endpoint
@@ -376,6 +368,45 @@ buildLabels()
              std::string(boss::kernels::activeTierName())}};
 }
 
+/**
+ * The run's ServeReport as one JSON object, after the build stamp (so
+ * any checked-in report names the binary that produced it).
+ */
+void
+writeStatsJson(std::ostream &os, const boss::serve::ServeReport &r)
+{
+    os << "{\"build\": {";
+    const char *sep = "";
+    for (const auto &label : buildLabels()) {
+        os << sep;
+        boss::trace::json::writeString(os, label.key);
+        os << ": ";
+        boss::trace::json::writeString(os, label.value);
+        sep = ", ";
+    }
+    const boss::serve::AdmissionCounters &a = r.admission;
+    os << std::fixed << std::setprecision(3)
+       << "}, \"serve\": {\"offered\": " << r.offered
+       << ", \"completed\": " << r.completed
+       << ", \"shed\": " << r.shed << ", \"expired\": " << r.expired
+       << ", \"good\": " << r.good
+       << ", \"elapsed_us\": " << r.elapsedUs
+       << ", \"offered_qps\": " << r.offeredQps
+       << ", \"achieved_qps\": " << r.achievedQps
+       << ", \"goodput_qps\": " << r.goodputQps
+       << ", \"latency_us\": {\"p50\": " << r.latencyP50Us
+       << ", \"p99\": " << r.latencyP99Us
+       << ", \"p999\": " << r.latencyP999Us
+       << ", \"max\": " << r.latencyMaxUs
+       << "}, \"queue_wait_p99_us\": " << r.queueWaitP99Us
+       << ", \"admission\": {\"offered\": " << a.offered
+       << ", \"admitted\": " << a.admitted
+       << ", \"shed_capacity\": " << a.shedCapacity
+       << ", \"shed_deadline\": " << a.shedDeadline
+       << ", \"rejected_closed\": " << a.rejectedClosed
+       << ", \"peak_depth\": " << a.peakDepth << "}}}\n";
+}
+
 bool
 matchValueFlag(const char *arg, const char *name, std::string &out)
 {
@@ -419,18 +450,10 @@ serveSession(boss::serve::Backend &backend, std::uint32_t vocab,
     scfg.arrivals.seed = boss::splitSeed(opts.seed, 11);
     scfg.queueCapacity = opts.queueCapacity;
     scfg.policy = opts.policy;
-    scfg.mode = opts.mode;
     scfg.deadlineUs = opts.deadlineUs;
     scfg.warmup = opts.warmup;
 
     boss::serve::Server server(backend, scfg);
-    std::optional<boss::trace::Recorder> recorder;
-    if (!opts.traceOut.empty()) {
-        recorder.emplace();
-        if (opts.traceCap > 0)
-            recorder->setEventCapacity(opts.traceCap);
-        server.setRecorder(&*recorder);
-    }
 
     // Live telemetry: any metrics/flight surface turns it on.
     const bool wantTelemetry = !opts.metricsOut.empty() ||
@@ -501,7 +524,8 @@ serveSession(boss::serve::Backend &backend, std::uint32_t vocab,
         if (!os)
             BOSS_FATAL("cannot open '", opts.flightOut,
                        "' for writing");
-        telemetry->flight().dumpChromeTrace(os);
+        boss::telemetry::dumpChromeTrace(os,
+                                         telemetry->flight().entries());
         std::printf("wrote flight recorder (%zu slow, %zu shed) "
                     "to %s\n",
                     telemetry->flight().slowCount(),
@@ -510,16 +534,13 @@ serveSession(boss::serve::Backend &backend, std::uint32_t vocab,
     }
 
     std::printf(
-        "offered %llu queries @ %.1f qps (%s, %s, %s), elapsed "
+        "offered %llu queries @ %.1f qps (%s, %s), elapsed "
         "%.1f ms\n",
         static_cast<unsigned long long>(report.offered),
         report.offeredQps,
         opts.arrival == boss::serve::ArrivalProcess::Poisson
             ? "poisson"
             : "bursty",
-        opts.mode == boss::serve::PipelineMode::Pipelined
-            ? "pipelined"
-            : "barrier",
         opts.policy == boss::serve::ShedPolicy::Block ? "block"
         : opts.policy == boss::serve::ShedPolicy::DropTail
             ? "drop-tail"
@@ -553,38 +574,20 @@ serveSession(boss::serve::Backend &backend, std::uint32_t vocab,
         if (!os)
             BOSS_FATAL("cannot open '", opts.statsJson,
                        "' for writing");
-        boss::stats::Group group("serve");
-        server.registerStats(group);
-        // Build stamp first, so any checked-in report names the
-        // binary that produced it.
-        os << "{\n  \"build\": {";
-        bool first = true;
-        for (const auto &label : buildLabels()) {
-            if (!first)
-                os << ", ";
-            first = false;
-            boss::trace::json::writeString(os, label.key);
-            os << ": ";
-            boss::trace::json::writeString(os, label.value);
-        }
-        os << "},\n  \"serve\":\n";
-        group.dumpJson(os, 2);
-        os << "\n}\n";
+        writeStatsJson(os, report);
     }
     if (!opts.traceOut.empty()) {
         std::ofstream os(opts.traceOut);
         if (!os)
             BOSS_FATAL("cannot open '", opts.traceOut,
                        "' for writing");
-        boss::trace::writeChromeTrace(os, *recorder);
-        std::printf("wrote %zu trace events to %s",
-                    recorder->eventCount(), opts.traceOut.c_str());
-        if (recorder->droppedEvents() > 0)
-            std::printf(" (%llu evicted by --trace-cap %zu)",
-                        static_cast<unsigned long long>(
-                            recorder->droppedEvents()),
-                        opts.traceCap);
-        std::printf("\n");
+        std::vector<boss::telemetry::FlightEntry> entries;
+        entries.reserve(report.records.size());
+        for (const auto &rec : report.records)
+            entries.push_back({rec, 0.0});
+        boss::telemetry::dumpChromeTrace(os, entries);
+        std::printf("wrote %zu query records to %s\n", entries.size(),
+                    opts.traceOut.c_str());
     }
     return 0;
 }
@@ -677,20 +680,6 @@ main(int argc, char **argv)
                 return 2;
             }
             ++argi;
-        } else if (matchValueFlag(argv[argi], "--mode", value)) {
-            if (value == "pipelined") {
-                opts.mode = boss::serve::PipelineMode::Pipelined;
-            } else if (value == "barrier") {
-                opts.mode = boss::serve::PipelineMode::Barrier;
-            } else {
-                std::fprintf(stderr,
-                             "--mode wants pipelined|barrier\n");
-                return 2;
-            }
-            ++argi;
-        } else if (arg == "--trace-cap") {
-            opts.traceCap = static_cast<std::size_t>(
-                numberAfter(argi, argc, argv, "--trace-cap"));
         } else if (arg == "--metrics-port") {
             opts.metricsPort =
                 numberAfter(argi, argc, argv, "--metrics-port");
@@ -793,10 +782,10 @@ main(int argc, char **argv)
             "usage: %s [--qps X] [--queries N] [--distinct N] "
             "[--seed N] [--arrival=poisson|bursty] [--queue N] "
             "[--policy=block|drop-tail|drop-deadline] "
-            "[--mode=pipelined|barrier] [--deadline-us X] "
+            "[--deadline-us X] "
             "[--warmup N] [--shards N] [--threads N] "
             "[--stats-json=FILE] [--trace-out=FILE] "
-            "[--trace-cap N] [--metrics-out=FILE] "
+            "[--metrics-out=FILE] "
             "[--metrics-period-ms X] [--metrics-port N] "
             "[--flight-out=FILE] [--kernels=TIER] "
             "[--ingest-rate X] [--delete-fraction F] "
