@@ -25,6 +25,7 @@
 #include "benchutil.h"
 #include "common/logging.h"
 #include "mem/fault_model.h"
+#include "trace/summary.h"
 
 namespace
 {
@@ -134,9 +135,12 @@ main()
         s.simSeconds = outcome.simSeconds;
         s.qps = static_cast<double>(queries.size()) /
                 outcome.simSeconds;
-        s.crcRetries = outcome.crcRetries;
-        s.blocksDropped = outcome.blocksDropped;
-        s.shardsDropped = outcome.shardsDropped;
+        trace::QuerySummary total;
+        for (const trace::QuerySummary &q : outcome.summaries)
+            trace::addCounters(total, q);
+        s.crcRetries = total.crcRetries;
+        s.blocksDropped = total.blocksDropped;
+        s.shardsDropped = outcome.deadShards.size();
         samples.push_back(s);
 
         std::printf(

@@ -64,15 +64,16 @@ main()
     };
     for (const char *expr : expressions) {
         auto outcome = api::device().search(expr);
+        const auto &summary = outcome.summaries.front();
         std::printf("\nquery: %s\n", expr);
         std::printf("  simulated time: %.1f us, SCM traffic: %.1f KB, "
                     "%llu docs scored (%llu skipped by ET)\n",
                     outcome.simSeconds * 1e6,
                     static_cast<double>(outcome.deviceBytes) / 1e3,
                     static_cast<unsigned long long>(
-                        outcome.evaluatedDocs),
+                        summary.docsScored),
                     static_cast<unsigned long long>(
-                        outcome.skippedDocs));
+                        summary.docsSkipped));
         std::size_t show = std::min<std::size_t>(3, outcome.topk.size());
         for (std::size_t i = 0; i < show; ++i) {
             std::printf("  #%zu doc=%u score=%.3f\n", i + 1,

@@ -54,26 +54,6 @@ forEachPartition(const ShardedDevice::Partitions &parts, Fn &&fn)
     }
 }
 
-/** Adds every work and traffic counter of @p b except cycles. */
-void
-addCounters(trace::QuerySummary &a, const trace::QuerySummary &b)
-{
-    a.blocksLoaded += b.blocksLoaded;
-    a.blocksSkipped += b.blocksSkipped;
-    a.valuesDecoded += b.valuesDecoded;
-    a.normsFetched += b.normsFetched;
-    a.docsScored += b.docsScored;
-    a.docsSkipped += b.docsSkipped;
-    a.topkInserts += b.topkInserts;
-    a.resultBytes += b.resultBytes;
-    a.crcRetries += b.crcRetries;
-    a.blocksDropped += b.blocksDropped;
-    for (std::size_t c = 0; c < trace::kNumTrafficClasses; ++c) {
-        a.classBytes[c] += b.classBytes[c];
-        a.classAccesses[c] += b.classAccesses[c];
-    }
-}
-
 } // namespace
 
 ShardedDevice::ShardedDevice(ShardedDeviceConfig config)
@@ -95,7 +75,6 @@ ShardedDevice::makeDevice(std::uint32_t device,
     // Observability settings may be toggled before the partitions
     // exist (the CLI configures the stack before loading an index).
     dev->setRecorder(recorder_);
-    dev->enableQuerySummaries(summariesEnabled_);
     dev->enableStatsCapture(statsCaptureEnabled_);
     return dev;
 }
@@ -203,12 +182,6 @@ ShardedDevice::shard(std::uint32_t s)
     return *parts_->byDevice[s].front().device;
 }
 
-const std::vector<trace::QuerySummary> &
-ShardedDevice::shardSummaries(std::uint32_t s) const
-{
-    return parts_->byDevice.at(s).front().device->querySummaries();
-}
-
 std::shared_ptr<const ShardedDevice::Partitions>
 ShardedDevice::partitions()
 {
@@ -251,7 +224,9 @@ ShardedDevice::merge(const Partitions &parts,
 {
     ShardedOutcome out;
     out.perQuery.resize(nQueries);
+    out.summaries.resize(nQueries);
     out.shardSeconds.assign(parts.byDevice.size(), 0.0);
+    std::vector<std::uint64_t> deviceCycles(nQueries);
     // lists[q][p]: query q's top-k on partition p in global docIDs,
     // gathered in partition order whatever the replay completion
     // order, so the merge is deterministic.
@@ -268,11 +243,14 @@ ShardedDevice::merge(const Partitions &parts,
             slot += device.size();
             continue;
         }
+        std::fill(deviceCycles.begin(), deviceCycles.end(), 0);
         for (const Partition &part : device) {
             accel::SearchOutcome &res = perPartition[slot++];
             BOSS_ASSERT(res.perQuery.size() == nQueries, "partition ",
                         slot - 1, " returned ", res.perQuery.size(),
                         " result lists for ", nQueries, " queries");
+            // The time rule: a device scans its partitions in turn,
+            // the devices run concurrently. Counters simply add.
             for (std::size_t q = 0; q < nQueries; ++q) {
                 for (engine::Result &r : res.perQuery[q]) {
                     r.doc = part.globalIds != nullptr
@@ -280,15 +258,13 @@ ShardedDevice::merge(const Partitions &parts,
                                 : r.doc + part.base;
                 }
                 lists[q].push_back(std::move(res.perQuery[q]));
+                const trace::QuerySummary &s = res.summaries[q];
+                out.summaries[q].terms = s.terms;
+                deviceCycles[q] += s.cycles;
+                trace::addCounters(out.summaries[q], s);
             }
-            // The time rule: a device scans its partitions in turn,
-            // the devices run concurrently. Counters simply add.
             out.shardSeconds[d] += res.simSeconds;
             out.deviceBytes += res.deviceBytes;
-            out.evaluatedDocs += res.evaluatedDocs;
-            out.skippedDocs += res.skippedDocs;
-            out.crcRetries += res.crcRetries;
-            out.blocksDropped += res.blocksDropped;
             out.dramBytes += res.dramBytes;
             out.cacheLookups += res.cacheLookups;
             out.cacheHits += res.cacheHits;
@@ -296,14 +272,20 @@ ShardedDevice::merge(const Partitions &parts,
             out.cacheEvictions += res.cacheEvictions;
         }
         out.simSeconds = std::max(out.simSeconds, out.shardSeconds[d]);
+        for (std::size_t q = 0; q < nQueries; ++q) {
+            out.summaries[q].cycles =
+                std::max(out.summaries[q].cycles, deviceCycles[q]);
+        }
     }
-    out.shardsDropped = out.deadShards.size();
     if (out.deadShards.size() == parts.byDevice.size())
         BOSS_FATAL("fault spec declares all ", parts.byDevice.size(),
                    " shards dead; no shard can serve queries");
 
-    for (std::size_t q = 0; q < nQueries; ++q)
+    for (std::size_t q = 0; q < nQueries; ++q) {
         out.perQuery[q] = engine::mergeTopK(lists[q], config_.device.k);
+        out.summaries[q].query = q;
+        out.summaries[q].shardsDropped = out.deadShards.size();
+    }
     if (!out.perQuery.empty())
         out.topk = out.perQuery.back();
     return out;
@@ -492,17 +474,6 @@ ShardedDevice::setRecorder(trace::Recorder *recorder)
 }
 
 void
-ShardedDevice::enableQuerySummaries(bool enabled)
-{
-    summariesEnabled_ = enabled;
-    if (parts_ != nullptr) {
-        forEachPartition(*parts_, [&](const Partition &p, bool) {
-            p.device->enableQuerySummaries(enabled);
-        });
-    }
-}
-
-void
 ShardedDevice::enableStatsCapture(bool enabled)
 {
     statsCaptureEnabled_ = enabled;
@@ -511,54 +482,6 @@ ShardedDevice::enableStatsCapture(bool enabled)
             p.device->enableStatsCapture(enabled);
         });
     }
-}
-
-std::vector<trace::QuerySummary>
-ShardedDevice::aggregatedSummaries() const
-{
-    std::vector<trace::QuerySummary> agg;
-    if (parts_ == nullptr)
-        return agg;
-    // Dead devices ran nothing and have no summaries; aggregation
-    // walks the survivors and stamps the drop count on every record.
-    std::uint64_t dead = 0;
-    bool first = true;
-    for (const std::vector<Partition> &device : parts_->byDevice) {
-        if (!operational(device)) {
-            ++dead;
-            continue;
-        }
-        // The time rule, per query: a device's partitions add up...
-        std::vector<trace::QuerySummary> sum;
-        for (const Partition &p : device) {
-            const auto &part = p.device->querySummaries();
-            if (&p == &device.front()) {
-                sum = part;
-                continue;
-            }
-            BOSS_ASSERT(part.size() == sum.size(),
-                        "partition summary count mismatch");
-            for (std::size_t q = 0; q < part.size(); ++q) {
-                sum[q].cycles += part[q].cycles;
-                addCounters(sum[q], part[q]);
-            }
-        }
-        if (first) {
-            agg = std::move(sum);
-            first = false;
-            continue;
-        }
-        // ...and the slowest device sets the latency.
-        BOSS_ASSERT(sum.size() == agg.size(),
-                    "device summary count mismatch");
-        for (std::size_t q = 0; q < sum.size(); ++q) {
-            agg[q].cycles = std::max(agg[q].cycles, sum[q].cycles);
-            addCounters(agg[q], sum[q]);
-        }
-    }
-    for (auto &a : agg)
-        a.shardsDropped = dead;
-    return agg;
 }
 
 void

@@ -57,8 +57,9 @@ struct ShardedDeviceConfig
 
 /**
  * Result of one partitioned search. Per-query results carry global
- * docIDs; simSeconds follows the time rule above, while traffic, work
- * and cache counters sum over partitions.
+ * docIDs; simSeconds and each summary's cycles follow the time rule
+ * above, while traffic, work and cache counters sum over partitions.
+ * Every summary's shardsDropped is deadShards.size().
  */
 struct ShardedOutcome : accel::SearchOutcome
 {
@@ -70,7 +71,6 @@ struct ShardedOutcome : accel::SearchOutcome
      * runs (results then bit-identical to pre-resilience builds).
      */
     std::vector<std::uint32_t> deadShards;
-    std::uint64_t shardsDropped = 0; ///< deadShards.size(), as counter
 };
 
 class ShardedDevice
@@ -190,20 +190,6 @@ class ShardedDevice
      */
     void setRecorder(trace::Recorder *recorder);
 
-    /** Record per-query summaries on every partition. */
-    void enableQuerySummaries(bool enabled);
-
-    /**
-     * Host-level per-query aggregates for the last batch: work
-     * counters summed over partitions, cycles by the time rule.
-     * Deterministic at any thread count.
-     */
-    std::vector<trace::QuerySummary> aggregatedSummaries() const;
-
-    /** Per-shard summaries of the last batch (local docID space). */
-    const std::vector<trace::QuerySummary> &
-    shardSummaries(std::uint32_t s) const;
-
     /** Capture per-partition replay stats for writeStatsJson. */
     void enableStatsCapture(bool enabled);
 
@@ -234,7 +220,8 @@ class ShardedDevice
 
     /**
      * Map docIDs to global ones, combine the per-partition outcomes
-     * by the time rule and merge each query's top-k.
+     * and per-query summaries by the time rule and merge each
+     * query's top-k.
      */
     ShardedOutcome merge(const Partitions &parts,
                          std::vector<accel::SearchOutcome> perPartition,
@@ -252,7 +239,6 @@ class ShardedDevice
     // Observability settings outlive reloads (and may be set before
     // the first load creates the per-partition devices).
     trace::Recorder *recorder_ = nullptr;
-    bool summariesEnabled_ = false;
     bool statsCaptureEnabled_ = false;
 };
 

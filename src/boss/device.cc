@@ -1,5 +1,6 @@
 #include "boss/device.h"
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -209,7 +210,6 @@ Device::buildQuery(const engine::QueryPlan &plan,
                                   wideOptions, &partial, &arena,
                                   scope, lane));
             arena.reset();
-            run.evaluatedDocs += run.traces.back().evaluatedDocs;
             for (const auto &r : partial)
                 merged[r.doc] += r.score;
         }
@@ -222,8 +222,6 @@ Device::buildQuery(const engine::QueryPlan &plan,
             *index_, *layout_, plan, options, &run.topk, &arena,
             scope, lane));
         arena.reset();
-        run.evaluatedDocs = run.traces.back().evaluatedDocs;
-        run.skippedDocs = run.traces.back().skippedDocs;
     }
     if (scope) {
         scope.span(lane, "build", buildStart,
@@ -238,19 +236,21 @@ SearchOutcome
 Device::replayBuilt(std::vector<BuiltQuery> built)
 {
     // Aggregate in submission order, then replay the whole group on
-    // one event-driven device model (queries share the device).
+    // one event-driven device model (queries share the device). A
+    // wide union's subquery traces fold into its one record.
     SearchOutcome outcome;
     std::vector<model::QueryTrace> traces;
     traces.reserve(built.size());
-    for (BuiltQuery &run : built) {
-        for (auto &t : run.traces) {
-            outcome.crcRetries += t.crcRetries;
-            outcome.blocksDropped += t.blocksDropped;
+    for (std::size_t q = 0; q < built.size(); ++q) {
+        trace::QuerySummary &s = outcome.summaries.emplace_back();
+        s.query = q;
+        for (auto &t : built[q].traces) {
+            const trace::QuerySummary part = model::summarizeTrace(t);
+            s.terms += part.terms;
+            trace::addCounters(s, part);
             traces.push_back(std::move(t));
         }
-        outcome.evaluatedDocs += run.evaluatedDocs;
-        outcome.skippedDocs += run.skippedDocs;
-        outcome.perQuery.push_back(std::move(run.topk));
+        outcome.perQuery.push_back(std::move(built[q].topk));
     }
     // The combined outcome carries the last query's results when
     // batching; single-query callers get exactly their results.
@@ -269,8 +269,7 @@ Device::replayBuilt(std::vector<BuiltQuery> built)
     model::ReplayObservers observers;
     observers.recorder = recorder_;
     std::vector<model::QueryTiming> timings;
-    if (summariesEnabled_)
-        observers.timings = &timings;
+    observers.timings = &timings;
     std::ostringstream statsCapture;
     if (statsCaptureEnabled_) {
         observers.onModel = [&statsCapture](model::SystemModel &m) {
@@ -289,14 +288,21 @@ Device::replayBuilt(std::vector<BuiltQuery> built)
     totalDramBytes_ += metrics.run.dramBytes;
     if (statsCaptureEnabled_)
         lastRunStatsJson_ = statsCapture.str();
-    if (summariesEnabled_) {
-        summaries_.clear();
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            trace::QuerySummary s = model::summarizeTrace(traces[i]);
-            s.query = i;
-            s.cycles = timings[i].cycles;
-            summaries_.push_back(s);
+    // A query's time runs from its first trace's dispatch to its
+    // last one's completion (moved-from trace lists keep their size).
+    const sim::ClockDomain clock(
+        model::costModelFor(config_.kind)->frequencyHz());
+    const model::QueryTiming *timing = timings.data();
+    for (std::size_t q = 0; q < built.size(); ++q) {
+        Tick start = std::numeric_limits<Tick>::max();
+        Tick end = 0;
+        for (std::size_t i = 0; i < built[q].traces.size(); ++i) {
+            start = std::min(start, timing->start);
+            end = std::max(end, timing->end);
+            ++timing;
         }
+        if (end > start)
+            outcome.summaries[q].cycles = clock.toCycles(end - start);
     }
 
     totalSeconds_ += outcome.simSeconds;
@@ -315,6 +321,9 @@ Device::runPlans(const std::vector<engine::QueryPlan> &plans)
         SearchOutcome down;
         down.deviceFailed = true;
         down.perQuery.resize(plans.size());
+        down.summaries.resize(plans.size());
+        for (std::size_t q = 0; q < plans.size(); ++q)
+            down.summaries[q].query = q;
         return down;
     }
 

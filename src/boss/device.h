@@ -65,18 +65,16 @@ struct DeviceConfig
 
 /**
  * One query after the host-side build stage: its functional trace
- * set (a wide union contributes several subquery traces), the top-k
- * computed during the build, and the build-side work counters. The
- * unit of work flowing through the serving pipeline — buildQuery()
- * produces these concurrently on pool workers while replayBuilt()
- * consumes them serially on the device model.
+ * set (a wide union contributes several subquery traces) and the
+ * top-k computed during the build. The unit of work flowing through
+ * the serving pipeline — buildQuery() produces these concurrently
+ * on pool workers while replayBuilt() consumes them serially on the
+ * device model.
  */
 struct BuiltQuery
 {
     std::vector<model::QueryTrace> traces;
     std::vector<engine::Result> topk;
-    std::uint64_t evaluatedDocs = 0;
-    std::uint64_t skippedDocs = 0;
 };
 
 /** Result of one search() call. */
@@ -85,16 +83,13 @@ struct SearchOutcome
     std::vector<engine::Result> topk;
     double simSeconds = 0.0;      ///< simulated wall time
     std::uint64_t deviceBytes = 0; ///< SCM traffic for this search
-    std::uint64_t evaluatedDocs = 0;
-    std::uint64_t skippedDocs = 0;
     /**
      * The whole device was down (spec'd dead shard): no query ran,
-     * perQuery holds one empty list per submitted query. ShardedDevice
-     * uses this to drop the shard from its merge.
+     * perQuery holds one empty list and summaries one zeroed record
+     * per submitted query. ShardedDevice uses this to drop the shard
+     * from its merge.
      */
     bool deviceFailed = false;
-    std::uint64_t crcRetries = 0;    ///< payload re-reads this search
-    std::uint64_t blocksDropped = 0; ///< payloads degraded away
     // DRAM block-cache tier, this search only (zero without a
     // cache). deviceBytes stays SCM traffic, so deviceBytes +
     // dramBytes splits the served bandwidth by tier.
@@ -110,6 +105,14 @@ struct SearchOutcome
      * are not separable.
      */
     std::vector<std::vector<engine::Result>> perQuery;
+    /**
+     * One account per submitted query, in submission order: work,
+     * traffic and resilience counters plus replay cycles. A wide
+     * union's subquery traces fold into one record, its cycles
+     * running from the first subquery's dispatch to the last one's
+     * completion. Bit-identical at any host thread count.
+     */
+    std::vector<trace::QuerySummary> summaries;
 };
 
 class Device
@@ -271,21 +274,6 @@ class Device
     }
 
     /**
-     * Record one QuerySummary per submitted query for each search;
-     * querySummaries() returns the latest batch. Summaries derive
-     * from the functional traces plus replay cycle counts, so they
-     * are bit-identical at any host thread count.
-     */
-    void enableQuerySummaries(bool enabled)
-    {
-        summariesEnabled_ = enabled;
-    }
-    const std::vector<trace::QuerySummary> &querySummaries() const
-    {
-        return summaries_;
-    }
-
-    /**
      * Capture each search's replay stats tree so writeStatsJson can
      * include it (off by default: serializing the tree after every
      * search is not free).
@@ -331,9 +319,7 @@ class Device
     std::vector<engine::QueryArena> arenas_;
 
     trace::Recorder *recorder_ = nullptr;
-    bool summariesEnabled_ = false;
     bool statsCaptureEnabled_ = false;
-    std::vector<trace::QuerySummary> summaries_;
     std::string lastRunStatsJson_;
 };
 

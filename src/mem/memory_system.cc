@@ -121,24 +121,19 @@ MemorySystem::access(const MemRequest &req, std::function<void()> cb)
     // rate only for as many concurrent streams as its prefetch
     // buffers track. With more active streams, effectiveness
     // degrades smoothly toward the random rate.
-    recentStreams_[recentPos_] = streamKey;
+    std::uint64_t &slot = recentStreams_[recentPos_];
+    if (slot != 0) {
+        auto evicted = recentCount_.find(slot);
+        if (--evicted->second == 0)
+            recentCount_.erase(evicted);
+    }
+    ++recentCount_[streamKey];
+    slot = streamKey;
     recentPos_ = (recentPos_ + 1) % recentStreams_.size();
     double seqEff = t.seqReadGBs;
     if (sequential) {
-        std::size_t distinct = 0;
-        for (std::size_t i = 0; i < recentStreams_.size(); ++i) {
-            if (recentStreams_[i] == 0)
-                continue;
-            bool dup = false;
-            for (std::size_t j = 0; j < i; ++j) {
-                if (recentStreams_[j] == recentStreams_[i]) {
-                    dup = true;
-                    break;
-                }
-            }
-            if (!dup)
-                ++distinct;
-        }
+        // The table holds one entry per distinct key in the ring.
+        std::size_t distinct = recentCount_.size();
         if (distinct > config_.streamTableSize) {
             double util = static_cast<double>(config_.streamTableSize) /
                           static_cast<double>(distinct);

@@ -182,6 +182,8 @@ class MemorySystem : public sim::SimObject
     /** Ring of recent stream keys (device buffer contention). */
     std::array<std::uint64_t, 64> recentStreams_{};
     std::size_t recentPos_ = 0;
+    /** Occurrences of each key in the ring (zero counts erased). */
+    std::unordered_map<std::uint64_t, std::uint32_t> recentCount_;
 
     stats::Counter reads_;
     stats::Counter writes_;

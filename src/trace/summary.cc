@@ -88,6 +88,26 @@ struct Cursor
 } // namespace
 
 void
+addCounters(QuerySummary &into, const QuerySummary &from)
+{
+    into.blocksLoaded += from.blocksLoaded;
+    into.blocksSkipped += from.blocksSkipped;
+    into.valuesDecoded += from.valuesDecoded;
+    into.normsFetched += from.normsFetched;
+    into.docsScored += from.docsScored;
+    into.docsSkipped += from.docsSkipped;
+    into.topkInserts += from.topkInserts;
+    into.resultBytes += from.resultBytes;
+    into.crcRetries += from.crcRetries;
+    into.blocksDropped += from.blocksDropped;
+    into.shardsDropped += from.shardsDropped;
+    for (std::size_t c = 0; c < kNumTrafficClasses; ++c) {
+        into.classBytes[c] += from.classBytes[c];
+        into.classAccesses[c] += from.classAccesses[c];
+    }
+}
+
+void
 writeJsonLine(std::ostream &os, const QuerySummary &s)
 {
     // fields() needs a mutable reference; serialization never writes

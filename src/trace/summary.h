@@ -63,6 +63,14 @@ struct QuerySummary
     bool operator==(const QuerySummary &) const = default;
 };
 
+/**
+ * Add every work, traffic and resilience counter of @p from into
+ * @p into. The identity fields (query, terms) and cycles are left
+ * alone: how a query's time combines depends on whether the parts
+ * ran one after another or side by side, so each fold sets those.
+ */
+void addCounters(QuerySummary &into, const QuerySummary &from);
+
 /** Write @p s as one JSON object on a single line (no newline). */
 void writeJsonLine(std::ostream &os, const QuerySummary &s);
 

@@ -293,6 +293,16 @@ TEST(CorruptionSweepTest, EveryByteFlipDetectedOrHarmless)
 // End-to-end degrade paths.
 // ---------------------------------------------------------------
 
+/** A search's counters summed over its per-query records. */
+trace::QuerySummary
+totals(const accel::SearchOutcome &out)
+{
+    trace::QuerySummary sum;
+    for (const trace::QuerySummary &s : out.summaries)
+        trace::addCounters(sum, s);
+    return sum;
+}
+
 class FaultE2ETest : public ::testing::Test
 {
   protected:
@@ -356,8 +366,9 @@ TEST_F(FaultE2ETest, DisabledSpecIsBitIdenticalToNoFaults)
     for (std::size_t q = 0; q < ref.perQuery.size(); ++q)
         EXPECT_EQ(out.perQuery[q], ref.perQuery[q]) << "query " << q;
     EXPECT_EQ(out.simSeconds, ref.simSeconds);
-    EXPECT_EQ(out.crcRetries, 0u);
-    EXPECT_EQ(out.blocksDropped, 0u);
+    EXPECT_EQ(out.summaries, ref.summaries);
+    EXPECT_EQ(totals(out).crcRetries, 0u);
+    EXPECT_EQ(totals(out).blocksDropped, 0u);
 }
 
 TEST_F(FaultE2ETest, TransientFlipsRetryAndComplete)
@@ -369,10 +380,10 @@ TEST_F(FaultE2ETest, TransientFlipsRetryAndComplete)
     auto out = dev.searchBatch(*queries_);
 
     ASSERT_EQ(out.perQuery.size(), queries_->size());
-    EXPECT_GT(out.crcRetries, 0u);
+    EXPECT_GT(totals(out).crcRetries, 0u);
     ASSERT_NE(dev.faultPolicy(), nullptr);
     EXPECT_GT(dev.faultPolicy()->crcChecks(), 0u);
-    EXPECT_EQ(dev.faultPolicy()->crcRetries(), out.crcRetries);
+    EXPECT_EQ(dev.faultPolicy()->crcRetries(), totals(out).crcRetries);
 }
 
 TEST_F(FaultE2ETest, StuckBlocksDropButQueriesComplete)
@@ -384,12 +395,13 @@ TEST_F(FaultE2ETest, StuckBlocksDropButQueriesComplete)
     auto out = dev.searchBatch(*queries_);
 
     ASSERT_EQ(out.perQuery.size(), queries_->size());
-    EXPECT_GT(out.blocksDropped, 0u);
-    EXPECT_EQ(dev.faultPolicy()->blocksDropped(), out.blocksDropped);
+    const std::uint64_t dropped = totals(out).blocksDropped;
+    EXPECT_GT(dropped, 0u);
+    EXPECT_EQ(dev.faultPolicy()->blocksDropped(), dropped);
     // Stuck media never clears: each drop burned the full retry
     // budget first.
     EXPECT_GE(dev.faultPolicy()->crcRetries(),
-              out.blocksDropped * cfg.faults.maxRetries);
+              dropped * cfg.faults.maxRetries);
 }
 
 TEST_F(FaultE2ETest, FaultOutcomesAreThreadCountInvariant)
@@ -408,8 +420,7 @@ TEST_F(FaultE2ETest, FaultOutcomesAreThreadCountInvariant)
     ASSERT_EQ(a.perQuery.size(), b.perQuery.size());
     for (std::size_t q = 0; q < a.perQuery.size(); ++q)
         EXPECT_EQ(a.perQuery[q], b.perQuery[q]) << "query " << q;
-    EXPECT_EQ(a.crcRetries, b.crcRetries);
-    EXPECT_EQ(a.blocksDropped, b.blocksDropped);
+    EXPECT_EQ(a.summaries, b.summaries);
     EXPECT_EQ(a.simSeconds, b.simSeconds);
 }
 
@@ -444,7 +455,9 @@ TEST_F(FaultE2ETest, DeadShardYieldsPartialCoverage)
     ASSERT_EQ(out.perQuery.size(), queries_->size());
     EXPECT_EQ(out.deadShards,
               (std::vector<std::uint32_t>{2}));
-    EXPECT_EQ(out.shardsDropped, 1u);
+    ASSERT_EQ(out.summaries.size(), queries_->size());
+    for (const trace::QuerySummary &s : out.summaries)
+        EXPECT_EQ(s.shardsDropped, 1u);
     EXPECT_FALSE(dev.shard(2).operational());
 
     // Partial coverage == exactly the union of the surviving
@@ -466,21 +479,45 @@ TEST_F(FaultE2ETest, DeadShardStatsAndSummariesStayCoherent)
     cfg.device.faults = mem::parseFaultSpec("dead-shard=0");
     api::ShardedDevice dev(cfg);
     dev.loadShards(corpus_->buildShardedIndex(*terms_, 4));
-    dev.enableQuerySummaries(true);
-    dev.searchBatch(*queries_);
-
-    // Aggregation skips the dead shard (which never ran) and stamps
-    // the drop count on every record.
-    auto agg = dev.aggregatedSummaries();
+    auto agg = dev.searchBatch(*queries_).summaries;
     ASSERT_EQ(agg.size(), queries_->size());
+
+    // The dead shard never ran: its own records are zeroed. The
+    // merge sums the survivors' counters, takes the slowest one's
+    // cycles and stamps the drop count on every record.
+    std::vector<accel::SearchOutcome> perShard;
+    for (std::uint32_t s = 0; s < dev.numShards(); ++s) {
+        perShard.push_back(dev.shard(s).searchBatch(*queries_));
+        ASSERT_EQ(perShard.back().summaries.size(), queries_->size());
+    }
+    EXPECT_TRUE(perShard[0].deviceFailed);
     std::uint64_t totalScored = 0;
-    for (const auto &s : agg) {
-        EXPECT_EQ(s.shardsDropped, 1u);
-        totalScored += s.docsScored;
+    for (std::size_t q = 0; q < agg.size(); ++q) {
+        trace::QuerySummary zeroed;
+        zeroed.query = q;
+        EXPECT_EQ(perShard[0].summaries[q], zeroed) << "query " << q;
+
+        trace::QuerySummary expected = zeroed;
+        expected.terms = perShard[1].summaries[q].terms;
+        for (std::uint32_t s = 1; s < dev.numShards(); ++s) {
+            const trace::QuerySummary &part = perShard[s].summaries[q];
+            trace::addCounters(expected, part);
+            expected.cycles = std::max(expected.cycles, part.cycles);
+        }
+        expected.shardsDropped = 1;
+        EXPECT_EQ(agg[q], expected) << "query " << q;
+        totalScored += agg[q].docsScored;
     }
     // Individual queries may legitimately score nothing (empty
     // conjunctions), but the surviving shards serve the batch.
     EXPECT_GT(totalScored, 0u);
+
+    // The serve path drops the dead shard the same way.
+    engine::QueryArena arena;
+    auto served =
+        dev.finishBuilt(dev.buildQuery(dev.plan(queries_->front()), arena));
+    ASSERT_EQ(served.summaries.size(), 1u);
+    EXPECT_EQ(served.summaries[0].shardsDropped, 1u);
 
     std::ostringstream os;
     dev.writeStatsJson(os);
@@ -555,15 +592,16 @@ TEST(MappedFaultTest, CorruptedPayloadDegradesOnFirstTouch)
     dev.loadMappedTextIndexFile(badPath);
     EXPECT_TRUE(dev.operational());
     auto out = dev.search("\"storage\" AND \"media\"");
-    EXPECT_GT(out.crcRetries, 0u);
-    EXPECT_GT(out.blocksDropped, 0u);
+    EXPECT_GT(totals(out).crcRetries, 0u);
+    EXPECT_GT(totals(out).blocksDropped, 0u);
     ASSERT_NE(dev.faultPolicy(), nullptr);
-    EXPECT_EQ(dev.faultPolicy()->blocksDropped(), out.blocksDropped);
+    EXPECT_EQ(dev.faultPolicy()->blocksDropped(),
+              totals(out).blocksDropped);
 
     // An untouched term serves cleanly from the same damaged file.
     auto clean = dev.search("\"bandwidth\"");
     EXPECT_FALSE(clean.topk.empty());
-    EXPECT_EQ(clean.blocksDropped, 0u);
+    EXPECT_EQ(totals(clean).blocksDropped, 0u);
 
     std::filesystem::remove(cleanPath);
     std::filesystem::remove(badPath);

@@ -234,10 +234,13 @@ TEST_F(MappedLoadTest, TopKBitIdenticalToHeapLoad)
         auto ref = heap.search(q);
         auto out = mapped.search(q);
         EXPECT_EQ(out.topk, ref.topk) << q;
-        EXPECT_EQ(out.evaluatedDocs, ref.evaluatedDocs) << q;
+        ASSERT_EQ(out.summaries.size(), 1u) << q;
+        EXPECT_EQ(out.summaries[0].docsScored,
+                  ref.summaries[0].docsScored)
+            << q;
         EXPECT_EQ(out.simSeconds, ref.simSeconds) << q;
         // Clean data: first-touch verification never drops a block.
-        EXPECT_EQ(out.blocksDropped, 0u) << q;
+        EXPECT_EQ(out.summaries[0].blocksDropped, 0u) << q;
     }
 }
 

@@ -283,9 +283,7 @@ TEST_F(ShardingTest, AggregatesAreDeterministicAcrossRuns)
         cfg.shards = 4;
         api::ShardedDevice device(cfg);
         device.loadShards(corpus_->buildShardedIndex(*terms_, 4));
-        device.enableQuerySummaries(true);
-        device.searchBatch(*queries_);
-        return device.aggregatedSummaries();
+        return device.searchBatch(*queries_).summaries;
     };
     auto a = runOnce(1);
     auto b = runOnce(8);
@@ -301,21 +299,46 @@ TEST_F(ShardingTest, PerShardSummariesSumToAggregates)
     cfg.shards = 4;
     api::ShardedDevice device(cfg);
     device.loadShards(corpus_->buildShardedIndex(*terms_, 4));
-    device.enableQuerySummaries(true);
-    device.searchBatch(*queries_);
-
-    auto agg = device.aggregatedSummaries();
+    auto agg = device.searchBatch(*queries_).summaries;
     ASSERT_EQ(agg.size(), queries_->size());
+
+    // Each shard device's own records for the same batch: the merged
+    // record sums their counters and takes the slowest shard's cycles.
+    std::vector<std::vector<trace::QuerySummary>> perShard;
+    for (std::uint32_t s = 0; s < device.numShards(); ++s) {
+        perShard.push_back(device.shard(s).searchBatch(*queries_)
+                               .summaries);
+        ASSERT_EQ(perShard.back().size(), queries_->size());
+    }
     for (std::size_t q = 0; q < agg.size(); ++q) {
-        std::uint64_t docsScored = 0;
-        std::uint64_t cyclesMax = 0;
-        for (std::uint32_t s = 0; s < device.numShards(); ++s) {
-            docsScored += device.shardSummaries(s)[q].docsScored;
-            cyclesMax = std::max(cyclesMax,
-                                 device.shardSummaries(s)[q].cycles);
+        trace::QuerySummary expected;
+        expected.query = q;
+        expected.terms = perShard[0][q].terms;
+        for (const auto &shard : perShard) {
+            trace::addCounters(expected, shard[q]);
+            expected.cycles = std::max(expected.cycles, shard[q].cycles);
         }
-        EXPECT_EQ(agg[q].docsScored, docsScored);
-        EXPECT_EQ(agg[q].cycles, cyclesMax);
+        EXPECT_EQ(agg[q], expected) << "query " << q;
+    }
+}
+
+TEST_F(ShardingTest, FinishBuiltSummaryMatchesSearch)
+{
+    // The serve path (buildQuery + finishBuilt) accounts each query
+    // exactly as search() does.
+    api::ShardedDeviceConfig cfg;
+    cfg.shards = 4;
+    api::ShardedDevice device(cfg);
+    device.loadShards(corpus_->buildShardedIndex(*terms_, 4));
+    engine::QueryArena arena;
+    for (std::size_t q = 0; q < queries_->size(); ++q) {
+        const auto &query = (*queries_)[q];
+        auto served =
+            device.finishBuilt(device.buildQuery(device.plan(query),
+                                                 arena));
+        auto searched = device.search(query);
+        ASSERT_EQ(served.summaries.size(), 1u);
+        EXPECT_EQ(served.summaries, searched.summaries) << "query " << q;
     }
 }
 

@@ -12,10 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "api/sharded_device.h"
 #include "boss/device.h"
 #include "common/thread_pool.h"
 #include "trace/chrome_trace.h"
 #include "trace/recorder.h"
+#include "model/runner.h"
 #include "trace/summary.h"
 #include "workload/corpus.h"
 #include "workload/queries.h"
@@ -287,7 +289,6 @@ struct DeviceTraceFixture : ::testing::Test
     void TearDown() override
     {
         device().setRecorder(nullptr);
-        device().enableQuerySummaries(false);
         device().enableStatsCapture(false);
         common::ThreadPool::setGlobalThreads(1);
     }
@@ -295,26 +296,20 @@ struct DeviceTraceFixture : ::testing::Test
 
 TEST_F(DeviceTraceFixture, SummariesBitIdenticalAcrossThreadCounts)
 {
-    device().enableQuerySummaries(true);
-
     common::ThreadPool::setGlobalThreads(1);
-    device().searchBatch(queries());
-    auto reference = device().querySummaries();
+    auto reference = device().searchBatch(queries()).summaries;
     ASSERT_EQ(reference.size(), queries().size());
 
     for (std::size_t threads : {4u, 8u}) {
         common::ThreadPool::setGlobalThreads(threads);
-        device().searchBatch(queries());
-        EXPECT_EQ(device().querySummaries(), reference)
+        EXPECT_EQ(device().searchBatch(queries()).summaries, reference)
             << "summaries diverged at " << threads << " threads";
     }
 }
 
 TEST_F(DeviceTraceFixture, SummariesCarryRealWork)
 {
-    device().enableQuerySummaries(true);
-    device().searchBatch(queries());
-    const auto &sums = device().querySummaries();
+    auto sums = device().searchBatch(queries()).summaries;
     ASSERT_EQ(sums.size(), queries().size());
     std::uint64_t scored = 0, bytes = 0;
     for (std::size_t i = 0; i < sums.size(); ++i) {
@@ -376,6 +371,110 @@ TEST_F(DeviceTraceFixture, StatsJsonExportsPoolAndLastRun)
               std::string::npos);
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json[json.size() - 2], '}');
+}
+
+// ---------------------------------------------------------------
+// One record per query: a union of more than 16 terms runs as
+// several subquery traces (paper Sec. IV-D) but is one query.
+// ---------------------------------------------------------------
+
+struct WideSummaryFixture : ::testing::Test
+{
+    static constexpr TermId kTerms = 20; ///< splits as 16 + 4
+
+    static index::InvertedIndex
+    buildIndex()
+    {
+        workload::CorpusConfig cfg;
+        cfg.numDocs = 8000;
+        cfg.vocabSize = 40;
+        cfg.seed = 77;
+        std::vector<TermId> terms;
+        for (TermId t = 0; t < kTerms; ++t)
+            terms.push_back(t);
+        return workload::Corpus(cfg).buildIndex(terms);
+    }
+
+    static std::string
+    expression()
+    {
+        std::string expr;
+        for (TermId t = 0; t < kTerms; ++t)
+            expr += (t == 0 ? "\"t" : " OR \"t") + std::to_string(t) +
+                    "\"";
+        return expr;
+    }
+
+    /** The query built on @p dev: one trace per subquery. */
+    static accel::BuiltQuery
+    build(accel::Device &dev)
+    {
+        engine::QueryArena arena;
+        accel::BuiltQuery built =
+            dev.buildQuery(dev.plan(expression()), arena);
+        EXPECT_EQ(built.traces.size(), 2u);
+        return built;
+    }
+
+    /** The subquery traces' counters, summed. */
+    static trace::QuerySummary
+    counters(const accel::BuiltQuery &built)
+    {
+        trace::QuerySummary sum;
+        for (const model::QueryTrace &t : built.traces)
+            trace::addCounters(sum, model::summarizeTrace(t));
+        return sum;
+    }
+};
+
+TEST_F(WideSummaryFixture, OneDeviceFoldsSubqueriesIntoOneRecord)
+{
+    accel::Device dev;
+    dev.loadIndex(buildIndex());
+    auto out = dev.search(expression());
+    ASSERT_EQ(out.summaries.size(), 1u);
+
+    accel::BuiltQuery built = build(dev);
+    trace::QuerySummary expected = counters(built);
+    expected.terms = kTerms;
+    // The query's time runs from its first subquery's dispatch to
+    // its last one's completion on a fresh model of the device.
+    std::vector<model::QueryTiming> timings;
+    model::ReplayObservers observers;
+    observers.timings = &timings;
+    model::replayTraces(built.traces, model::SystemConfig{}, observers);
+    ASSERT_EQ(timings.size(), 2u);
+    const sim::ClockDomain clock(
+        model::costModelFor(model::SystemKind::Boss)->frequencyHz());
+    expected.cycles =
+        clock.toCycles(std::max(timings[0].end, timings[1].end) -
+                       std::min(timings[0].start, timings[1].start));
+    EXPECT_GT(expected.cycles, 0u);
+    EXPECT_EQ(out.summaries[0], expected);
+}
+
+TEST_F(WideSummaryFixture, ShardedDeviceMergesOneRecord)
+{
+    api::ShardedDeviceConfig cfg;
+    cfg.shards = 2;
+    api::ShardedDevice dev(cfg);
+    dev.loadIndex(buildIndex());
+    auto out = dev.search(expression());
+    ASSERT_EQ(out.summaries.size(), 1u);
+
+    // Every shard's subquery counters add; the slower shard's own
+    // record sets the cycles.
+    trace::QuerySummary expected;
+    expected.terms = kTerms;
+    for (std::uint32_t s = 0; s < dev.numShards(); ++s) {
+        accel::Device &shard = dev.shard(s);
+        trace::addCounters(expected, counters(build(shard)));
+        auto own = shard.search(expression()).summaries;
+        ASSERT_EQ(own.size(), 1u);
+        EXPECT_EQ(own[0].terms, kTerms);
+        expected.cycles = std::max(expected.cycles, own[0].cycles);
+    }
+    EXPECT_EQ(out.summaries[0], expected);
 }
 
 } // namespace

@@ -28,7 +28,8 @@
  *                          last search's simulation groups) as JSON
  *   --query-summaries=FILE write one JSON record per query (cycles,
  *                          blocks skipped/loaded, bytes per traffic
- *                          class, ...; see tools/boss_tracecat)
+ *                          class, ...; see tools/boss_tracecat),
+ *                          numbered 0..n-1 in session order
  *   --fault-spec=SPEC      inject SCM media faults, e.g.
  *                          "ber=1e-6,stuck=1e-4,dead-shard=2"
  *                          (see mem/fault_model.h for the grammar);
@@ -66,6 +67,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/sharded_device.h"
 #include "common/logging.h"
@@ -82,7 +84,7 @@ struct Options
 {
     std::string traceOut;
     std::string statsJson;
-    std::string querySummaries;
+    std::string summariesPath;
     std::size_t warmup = 0;
     bool mmap = false; ///< mmap the index instead of heap load
 };
@@ -127,6 +129,7 @@ void
 printResilience(const boss::api::ShardedDevice &device,
                 const boss::api::ShardedOutcome &outcome)
 {
+    const boss::trace::QuerySummary &summary = outcome.summaries.front();
     if (!outcome.deadShards.empty()) {
         std::uint32_t total = device.numShards();
         std::printf("  partial coverage: %u/%u shards (dead:",
@@ -137,42 +140,39 @@ printResilience(const boss::api::ShardedDevice &device,
             std::printf(" %u", s);
         std::printf(")\n");
     }
-    if (outcome.crcRetries != 0 || outcome.blocksDropped != 0) {
+    if (summary.crcRetries != 0 || summary.blocksDropped != 0) {
         std::printf("  resilience: %llu CRC retries, %llu blocks "
                     "dropped\n",
                     static_cast<unsigned long long>(
-                        outcome.crcRetries),
+                        summary.crcRetries),
                     static_cast<unsigned long long>(
-                        outcome.blocksDropped));
+                        summary.blocksDropped));
     }
 }
 
+/** Run one query, keeping its record in @p records. */
 void
 runQuery(boss::api::ShardedDevice &device, const std::string &raw,
-         std::ofstream *summariesOut)
+         std::vector<boss::trace::QuerySummary> &records)
 {
     std::string expr = normalizeQuery(raw);
     if (expr.empty())
         return;
 
     auto outcome = device.search(expr);
+    records.push_back(outcome.summaries.front());
     std::printf("%zu results in %.1f us (simulated; %.1f KB SCM "
                 "traffic, %llu docs scored)\n",
                 outcome.topk.size(), outcome.simSeconds * 1e6,
                 static_cast<double>(outcome.deviceBytes) / 1e3,
-                static_cast<unsigned long long>(outcome.evaluatedDocs));
+                static_cast<unsigned long long>(
+                    records.back().docsScored));
     printCache(outcome);
     printResilience(device, outcome);
     std::size_t show = std::min<std::size_t>(10, outcome.topk.size());
     for (std::size_t i = 0; i < show; ++i) {
         std::printf("  %2zu. doc %-10u score %.4f\n", i + 1,
                     outcome.topk[i].doc, outcome.topk[i].score);
-    }
-    if (summariesOut != nullptr) {
-        // Host-level view: work summed over shards, latency from the
-        // slowest shard.
-        boss::trace::writeSummaries(*summariesOut,
-                                    device.aggregatedSummaries());
     }
 }
 
@@ -238,25 +238,19 @@ runSession(boss::api::ShardedDevice &device, const Options &opts,
     }
     if (!opts.statsJson.empty())
         device.enableStatsCapture(true);
-    std::optional<std::ofstream> summariesOut;
-    if (!opts.querySummaries.empty()) {
-        device.enableQuerySummaries(true);
-        summariesOut.emplace(openOut(opts.querySummaries));
-    }
+    std::vector<boss::trace::QuerySummary> records;
 
     if (argi < argc) {
         for (int i = argi; i < argc; ++i) {
             std::printf("\nquery: %s\n", argv[i]);
-            runQuery(device, argv[i],
-                     summariesOut ? &*summariesOut : nullptr);
+            runQuery(device, argv[i], records);
         }
     } else {
         std::printf("enter queries (one per line, ctrl-d to exit)\n");
         std::string line;
         while (std::getline(std::cin, line)) {
             if (!line.empty())
-                runQuery(device, line,
-                         summariesOut ? &*summariesOut : nullptr);
+                runQuery(device, line, records);
         }
     }
 
@@ -269,6 +263,13 @@ runSession(boss::api::ShardedDevice &device, const Options &opts,
     if (!opts.statsJson.empty()) {
         auto os = openOut(opts.statsJson);
         device.writeStatsJson(os);
+    }
+    if (!opts.summariesPath.empty()) {
+        // Each query ran as its own search; number it in the session.
+        for (std::size_t q = 0; q < records.size(); ++q)
+            records[q].query = q;
+        auto os = openOut(opts.summariesPath);
+        boss::trace::writeSummaries(os, records);
     }
     return 0;
 }
@@ -311,7 +312,7 @@ main(int argc, char **argv)
                    matchValueFlag(argv[argi], "--stats-json",
                                   opts.statsJson) ||
                    matchValueFlag(argv[argi], "--query-summaries",
-                                  opts.querySummaries)) {
+                                  opts.summariesPath)) {
             ++argi;
         } else if (std::string spec;
                    matchValueFlag(argv[argi], "--fault-spec", spec)) {

@@ -75,21 +75,8 @@ run(std::istream &in)
         }
         printRow(s);
         ++count;
-        total.terms += s.terms;
         total.cycles += s.cycles;
-        total.blocksLoaded += s.blocksLoaded;
-        total.blocksSkipped += s.blocksSkipped;
-        total.valuesDecoded += s.valuesDecoded;
-        total.normsFetched += s.normsFetched;
-        total.docsScored += s.docsScored;
-        total.docsSkipped += s.docsSkipped;
-        total.topkInserts += s.topkInserts;
-        total.resultBytes += s.resultBytes;
-        for (std::size_t c = 0; c < boss::trace::kNumTrafficClasses;
-             ++c) {
-            total.classBytes[c] += s.classBytes[c];
-            total.classAccesses[c] += s.classAccesses[c];
-        }
+        boss::trace::addCounters(total, s);
     }
     if (count == 0) {
         std::fprintf(stderr, "no records\n");
