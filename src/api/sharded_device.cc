@@ -1,10 +1,8 @@
 #include "api/sharded_device.h"
 
 #include <algorithm>
-#include <condition_variable>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "engine/topk.h"
 
 namespace boss::api
@@ -227,9 +225,7 @@ ShardedDevice::merge(const Partitions &parts,
     out.summaries.resize(nQueries);
     out.shardSeconds.assign(parts.byDevice.size(), 0.0);
     std::vector<std::uint64_t> deviceCycles(nQueries);
-    // lists[q][p]: query q's top-k on partition p in global docIDs,
-    // gathered in partition order whatever the replay completion
-    // order, so the merge is deterministic.
+    // lists[q][p]: query q's top-k on partition p in global docIDs.
     std::vector<std::vector<std::vector<engine::Result>>> lists(
         nQueries);
     std::size_t slot = 0;
@@ -301,93 +297,15 @@ ShardedDevice::runBatch(const Batch &batch)
     plans.reserve(batch.size());
     for (const auto &q : batch)
         plans.push_back(plan(q));
-    const std::size_t nQueries = plans.size();
-    // Every partition's device, null where its device is down.
-    std::vector<accel::Device *> devices;
+    // Each live partition runs the whole batch on its own device (the
+    // builds fan out over the host pool, the replay is serial); a
+    // dead device's partitions keep empty slots, dropped by merge.
+    std::vector<accel::SearchOutcome> perPartition;
     forEachPartition(*parts, [&](const Partition &p, bool up) {
-        devices.push_back(up ? p.device.get() : nullptr);
+        perPartition.push_back(up ? p.device->searchBatch(plans)
+                                  : accel::SearchOutcome{});
     });
-
-    // Partition builds dispatch one at a time: each build fans out
-    // over the shared host pool (which is not reentrant), so the host
-    // is already saturated per partition. The serial replay of a
-    // completed partition, however, occupies only one thread — with
-    // no recorder attached it is posted to a pool worker so the next
-    // partition's build overlaps it. Replay is timing-only (results
-    // come from the builds) and each posted task touches only its own
-    // device and outcome slot, so results stay bit-identical to the
-    // sequential loop. Recorder runs keep the sequential path: replay
-    // registers trace lanes, which is not thread-safe.
-    common::ThreadPool &pool = common::ThreadPool::global();
-    const bool overlap = recorder_ == nullptr && devices.size() > 1;
-
-    std::vector<accel::SearchOutcome> perPartition(devices.size());
-    std::mutex doneMutex;
-    std::condition_variable doneCv;
-    std::size_t pendingReplays = 0;
-    std::exception_ptr replayError;
-    std::exception_ptr buildError;
-
-    for (std::size_t p = 0; p < devices.size(); ++p) {
-        accel::Device *dev = devices[p];
-        if (dev == nullptr)
-            continue;
-        if (!overlap) {
-            perPartition[p] = dev->searchBatch(plans);
-            continue;
-        }
-        try {
-            std::vector<accel::BuiltQuery> runs(nQueries);
-            if (arenas_.size() < pool.size())
-                arenas_.resize(pool.size());
-            pool.parallelFor(
-                nQueries, [&](std::size_t i, std::size_t worker) {
-                    runs[i] =
-                        dev->buildQuery(plans[i], arenas_[worker]);
-                });
-            auto group =
-                std::make_shared<std::vector<accel::BuiltQuery>>(
-                    std::move(runs));
-            {
-                std::lock_guard<std::mutex> lock(doneMutex);
-                ++pendingReplays;
-            }
-            pool.post([&, dev, p, group](std::size_t) {
-                try {
-                    perPartition[p] =
-                        dev->replayBuilt(std::move(*group));
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(doneMutex);
-                    if (replayError == nullptr)
-                        replayError = std::current_exception();
-                }
-                {
-                    // Notify under the lock: the pool worker
-                    // outlives this frame, and doneCv lives on it.
-                    // Broadcasting while holding doneMutex keeps the
-                    // waiter from waking and unwinding the frame
-                    // while this worker is still in the broadcast.
-                    std::lock_guard<std::mutex> lock(doneMutex);
-                    --pendingReplays;
-                    doneCv.notify_all();
-                }
-            });
-        } catch (...) {
-            // Drain in-flight replays before propagating: they hold
-            // references into this frame.
-            buildError = std::current_exception();
-            break;
-        }
-    }
-    if (overlap) {
-        std::unique_lock<std::mutex> lock(doneMutex);
-        doneCv.wait(lock, [&] { return pendingReplays == 0; });
-        if (buildError == nullptr)
-            buildError = replayError;
-    }
-    if (buildError != nullptr)
-        std::rethrow_exception(buildError);
-    return merge(*parts, std::move(perPartition), nQueries);
+    return merge(*parts, std::move(perPartition), plans.size());
 }
 
 ShardedDevice::Built

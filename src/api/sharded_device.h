@@ -128,16 +128,10 @@ class ShardedDevice
     ShardedOutcome search(const std::string &qExpression);
 
     /**
-     * Scatter a batch: each partition executes the whole batch
-     * through its own device (trace building fans out over the
-     * shared host thread pool), then each query's per-partition
-     * top-k lists are merged on the host. Partition builds are
-     * dispatched one at a time — the pool is not reentrant — but a
-     * completed partition's replay is posted to a pool worker, so
-     * partition p+1's trace build overlaps partition p's replay
-     * (with no recorder attached; replay lane registration is
-     * single-threaded, so trace-capture runs fall back to the
-     * sequential build→replay loop).
+     * Scatter a batch: plan it once, run it through each live
+     * partition's Device::searchBatch in turn (trace building fans
+     * out over the shared host thread pool), then merge each
+     * query's per-partition top-k lists on the host.
      */
     ShardedOutcome
     searchBatch(const std::vector<workload::Query> &queries);
@@ -234,8 +228,6 @@ class ShardedDevice
     /** Static shards, or the cached partitions of a live epoch. */
     std::shared_ptr<const Partitions> parts_;
     std::mutex partsMutex_; ///< guards parts_ on a live load
-    /** Per-worker decode scratch for the pipelined batch path. */
-    std::vector<engine::QueryArena> arenas_;
     // Observability settings outlive reloads (and may be set before
     // the first load creates the per-partition devices).
     trace::Recorder *recorder_ = nullptr;

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -77,14 +76,16 @@ class CrcWriter
 };
 
 /**
- * Input stream wrapper that (a) accumulates the same CRC32 the
- * writer produced, (b) enforces a byte budget so a corrupted length
- * field can never drive an allocation or read beyond the file.
+ * The loadIndex() reader over an input stream. It accumulates the
+ * same CRC32 the writer produced and enforces a byte budget, so a
+ * corrupted length field can never drive an allocation or read
+ * beyond the file. Payloads are owned copies; the index ends with
+ * the trailing file CRC, which must match.
  */
-class CrcReader
+class StreamReader
 {
   public:
-    explicit CrcReader(std::istream &is) : is_(is)
+    explicit StreamReader(std::istream &is) : is_(is)
     {
         // Discover how many bytes remain; unseekable streams fall
         // back to a generous cap that still stops absurd lengths.
@@ -104,6 +105,41 @@ class CrcReader
     void
     read(void *dst, std::size_t n)
     {
+        readRaw(dst, n);
+        crc_.update(dst, n);
+    }
+
+    /** Bytes left before the budget is exhausted. */
+    std::uint64_t remaining() const { return remaining_; }
+
+    PayloadBytes
+    payload(std::size_t n)
+    {
+        AlignedVec<std::uint8_t> bytes(n);
+        read(bytes.data(), n);
+        return PayloadBytes::owned(std::move(bytes));
+    }
+
+    /**
+     * Whole-body checksum, written outside its own coverage. Checked
+     * last: everything before it already failed fast on the specific
+     * field it caught, this is the net under everything else.
+     */
+    void
+    finish()
+    {
+        const std::uint32_t expect = crc_.value();
+        std::uint32_t stored = 0;
+        readRaw(&stored, sizeof(stored));
+        if (stored != expect)
+            loadFail("index file corrupt: file checksum mismatch");
+    }
+
+  private:
+    /** Read without folding the bytes into the checksum. */
+    void
+    readRaw(void *dst, std::size_t n)
+    {
         if (n > remaining_)
             loadFail("index file truncated");
         is_.read(static_cast<char *>(dst),
@@ -111,33 +147,59 @@ class CrcReader
         if (!is_)
             loadFail("index file truncated");
         remaining_ -= n;
-        crc_.update(dst, n);
     }
 
-    /** Read a value without folding it into the checksum. */
-    template <typename T>
-    T
-    readRaw()
-    {
-        T v{};
-        if (sizeof(T) > remaining_)
-            loadFail("index file truncated");
-        is_.read(reinterpret_cast<char *>(&v), sizeof(T));
-        if (!is_)
-            loadFail("index file truncated");
-        remaining_ -= sizeof(T);
-        return v;
-    }
-
-    /** Bytes left before the budget is exhausted. */
-    std::uint64_t remaining() const { return remaining_; }
-
-    std::uint32_t crc() const { return crc_.value(); }
-
-  private:
     std::istream &is_;
     Crc32 crc_;
     std::uint64_t remaining_ = 0;
+};
+
+/**
+ * The MappedIndex reader: a bounds-checked cursor over the mapped
+ * bytes. Payloads are views into the mapping. The trailing file CRC
+ * must be present but is not scanned: reading the payload bytes it
+ * covers would defeat the O(metadata) open, and the per-block CRCs
+ * own payload integrity on this path.
+ */
+class SpanReader
+{
+  public:
+    SpanReader(const std::uint8_t *base, std::size_t size)
+        : p_(base), end_(base + size)
+    {}
+
+    void read(void *dst, std::size_t n) { std::memcpy(dst, take(n), n); }
+
+    std::uint64_t
+    remaining() const
+    {
+        return static_cast<std::uint64_t>(end_ - p_);
+    }
+
+    PayloadBytes
+    payload(std::size_t n)
+    {
+        return PayloadBytes::view(take(n), n);
+    }
+
+    void finish() { take(sizeof(std::uint32_t)); }
+
+    const std::uint8_t *pos() const { return p_; }
+
+  private:
+    /** Advance past @p n bytes, returning their mapped address. */
+    const std::uint8_t *
+    take(std::size_t n)
+    {
+        if (n > remaining())
+            loadFail("index file truncated");
+        const std::uint8_t *v = p_;
+        p_ += n;
+        return v;
+    }
+
+    const std::uint8_t *p_;
+    const std::uint8_t *end_;
 };
 
 template <typename T>
@@ -147,9 +209,9 @@ writePod(CrcWriter &w, const T &v)
     w.write(&v, sizeof(T));
 }
 
-template <typename T>
+template <typename T, typename Reader>
 T
-readPod(CrcReader &r)
+readPod(Reader &r)
 {
     T v{};
     r.read(&v, sizeof(T));
@@ -185,18 +247,28 @@ writeListBody(CrcWriter &w, const CompressedPostingList &list)
     writeVec(w, list.tfPayload);
 }
 
-template <typename T, typename Alloc = std::allocator<T>>
-std::vector<T, Alloc>
-readVec(CrcReader &r, const char *what)
+/**
+ * Read a vector's element count, checked against the bytes left
+ * before anything is allocated: a flipped length field must fail
+ * here, not inside the allocator or a wild read.
+ */
+template <typename T, typename Reader>
+std::size_t
+readCount(Reader &r, const char *what)
 {
     auto n = readPod<std::uint64_t>(r);
-    // Validate before allocating: a flipped length field must fail
-    // here, not inside the allocator or a wild read.
     if (n > r.remaining() / sizeof(T))
         loadFail(detail::concat("index file truncated (", what,
                                 " length ", n,
                                 " exceeds remaining file size)"));
-    std::vector<T, Alloc> v(static_cast<std::size_t>(n));
+    return static_cast<std::size_t>(n);
+}
+
+template <typename T, typename Reader>
+std::vector<T>
+readVec(Reader &r, const char *what)
+{
+    std::vector<T> v(readCount<T>(r, what));
     r.read(v.data(), v.size() * sizeof(T));
     return v;
 }
@@ -244,10 +316,15 @@ validateList(const CompressedPostingList &list, std::uint32_t t)
         fail("block element counts do not sum to docCount");
 }
 
+/**
+ * The one v2 parser. The reader decides what a payload is (an owned
+ * copy or a view into a mapping) and what ends the index (a checked
+ * or merely present file CRC); every field is validated here.
+ */
+template <typename Reader>
 InvertedIndex
-loadIndexImpl(std::istream &is)
+parseIndex(Reader &r)
 {
-    CrcReader r(is);
     if (readPod<std::uint32_t>(r) != kMagic)
         loadFail("not a BOSS index file (bad magic)");
     if (readPod<std::uint32_t>(r) != kVersion)
@@ -288,22 +365,14 @@ loadIndexImpl(std::istream &is)
         list.idf = readPod<float>(r);
         list.maxTermScore = readPod<float>(r);
         list.blocks = readVec<BlockMeta>(r, "block metadata");
-        list.docPayload = PayloadBytes::owned(
-            readVec<std::uint8_t, AlignedAllocator<std::uint8_t>>(
-                r, "doc payload"));
-        list.tfPayload = PayloadBytes::owned(
-            readVec<std::uint8_t, AlignedAllocator<std::uint8_t>>(
-                r, "tf payload"));
+        list.docPayload =
+            r.payload(readCount<std::uint8_t>(r, "doc payload"));
+        list.tfPayload =
+            r.payload(readCount<std::uint8_t>(r, "tf payload"));
         validateList(list, t);
     }
 
-    // Whole-body checksum, written outside its own coverage. Checked
-    // last: everything above already failed fast on the specific
-    // field it caught, this is the net under everything else.
-    std::uint32_t expect = r.crc();
-    if (r.readRaw<std::uint32_t>() != expect)
-        loadFail("index file corrupt: file checksum mismatch");
-
+    r.finish();
     return InvertedIndex(params, std::move(docs), avgDocLen,
                          std::move(lists));
 }
@@ -385,7 +454,8 @@ InvertedIndex
 loadIndex(std::istream &is)
 {
     try {
-        return loadIndexImpl(is);
+        StreamReader r(is);
+        return parseIndex(r);
     } catch (const LoadError &e) {
         BOSS_FATAL(e.message);
     }
@@ -395,7 +465,8 @@ std::optional<InvertedIndex>
 tryLoadIndex(std::istream &is, std::string *error)
 {
     try {
-        return loadIndexImpl(is);
+        StreamReader r(is);
+        return parseIndex(r);
     } catch (const LoadError &e) {
         if (error != nullptr)
             *error = e.message;
@@ -432,156 +503,6 @@ loadIndexFile(const std::string &path)
     return index;
 }
 
-// ---------------------------------------------------------------
-// MappedIndex: parse metadata out of a mapping, leave payloads as
-// views. Shares LoadError/validateList with the stream loader; the
-// whole-file CRC is deliberately not scanned (see header comment).
-// ---------------------------------------------------------------
-
-namespace
-{
-
-/** Bounds-checked cursor over the mapped bytes. */
-class SpanReader
-{
-  public:
-    SpanReader(const std::uint8_t *base, std::size_t size)
-        : p_(base), end_(base + size)
-    {}
-
-    void
-    read(void *dst, std::size_t n)
-    {
-        ensure(n);
-        std::memcpy(dst, p_, n);
-        p_ += n;
-    }
-
-    template <typename T>
-    T
-    readPod()
-    {
-        T v{};
-        read(&v, sizeof(T));
-        return v;
-    }
-
-    /** Advance past @p n bytes, returning their mapped address. */
-    const std::uint8_t *
-    view(std::size_t n)
-    {
-        ensure(n);
-        const std::uint8_t *v = p_;
-        p_ += n;
-        return v;
-    }
-
-    std::uint64_t
-    remaining() const
-    {
-        return static_cast<std::uint64_t>(end_ - p_);
-    }
-
-    const std::uint8_t *pos() const { return p_; }
-
-  private:
-    void
-    ensure(std::size_t n)
-    {
-        if (n > remaining())
-            loadFail("index file truncated");
-    }
-
-    const std::uint8_t *p_;
-    const std::uint8_t *end_;
-};
-
-template <typename T>
-std::vector<T>
-readVecCopy(SpanReader &r, const char *what)
-{
-    auto n = r.readPod<std::uint64_t>();
-    if (n > r.remaining() / sizeof(T))
-        loadFail(detail::concat("index file truncated (", what,
-                                " length ", n,
-                                " exceeds remaining file size)"));
-    std::vector<T> v(static_cast<std::size_t>(n));
-    r.read(v.data(), v.size() * sizeof(T));
-    return v;
-}
-
-PayloadBytes
-readPayloadView(SpanReader &r, const char *what)
-{
-    auto n = r.readPod<std::uint64_t>();
-    if (n > r.remaining())
-        loadFail(detail::concat("index file truncated (", what,
-                                " length ", n,
-                                " exceeds remaining file size)"));
-    std::size_t bytes = static_cast<std::size_t>(n);
-    return PayloadBytes::view(r.view(bytes), bytes);
-}
-
-/** Parse the index section; returns the offset one past its CRC. */
-std::unique_ptr<InvertedIndex>
-parseMapped(const std::uint8_t *base, std::size_t size,
-            std::size_t &indexEnd)
-{
-    SpanReader r(base, size);
-    if (r.readPod<std::uint32_t>() != kMagic)
-        loadFail("not a BOSS index file (bad magic)");
-    if (r.readPod<std::uint32_t>() != kVersion)
-        loadFail("unsupported index file version");
-
-    Bm25Params params;
-    Crc32 headerCrc;
-    params.k1 = r.readPod<double>();
-    params.b = r.readPod<double>();
-    auto avgDocLen = r.readPod<double>();
-    headerCrc.update(&params.k1, sizeof(params.k1));
-    headerCrc.update(&params.b, sizeof(params.b));
-    headerCrc.update(&avgDocLen, sizeof(avgDocLen));
-    if (r.readPod<std::uint32_t>() != headerCrc.value())
-        loadFail("index file corrupt: header checksum mismatch");
-
-    auto docs = readVecCopy<DocInfo>(r, "doc table");
-
-    auto numTerms = r.readPod<std::uint32_t>();
-    constexpr std::uint64_t kMinListBytes =
-        sizeof(TermId) + sizeof(std::uint8_t) +
-        sizeof(std::uint32_t) + 2 * sizeof(float) +
-        3 * sizeof(std::uint64_t);
-    if (numTerms > r.remaining() / kMinListBytes)
-        loadFail(detail::concat(
-            "index file truncated (term count ", numTerms,
-            " exceeds remaining file size)"));
-    std::vector<CompressedPostingList> lists(numTerms);
-    for (std::uint32_t t = 0; t < numTerms; ++t) {
-        CompressedPostingList &list = lists[t];
-        list.term = r.readPod<TermId>();
-        list.scheme =
-            static_cast<compress::Scheme>(r.readPod<std::uint8_t>());
-        list.docCount = r.readPod<std::uint32_t>();
-        list.idf = r.readPod<float>();
-        list.maxTermScore = r.readPod<float>();
-        list.blocks = readVecCopy<BlockMeta>(r, "block metadata");
-        list.docPayload = readPayloadView(r, "doc payload");
-        list.tfPayload = readPayloadView(r, "tf payload");
-        validateList(list, t);
-    }
-
-    // The trailing whole-file CRC must exist, but scanning the
-    // payload bytes it covers would defeat the O(metadata) open;
-    // the per-block CRCs own payload integrity on this path.
-    (void)r.readPod<std::uint32_t>();
-    indexEnd = static_cast<std::size_t>(r.pos() - base);
-
-    return std::make_unique<InvertedIndex>(
-        params, std::move(docs), avgDocLen, std::move(lists));
-}
-
-} // namespace
-
 std::shared_ptr<MappedIndex>
 MappedIndex::tryOpen(const std::string &path, std::string *error)
 {
@@ -613,7 +534,9 @@ MappedIndex::tryOpen(const std::string &path, std::string *error)
     mi->base_ = static_cast<const std::uint8_t *>(map);
     mi->size_ = size;
     try {
-        mi->index_ = parseMapped(mi->base_, mi->size_, mi->indexEnd_);
+        SpanReader r(mi->base_, mi->size_);
+        mi->index_ = std::make_unique<InvertedIndex>(parseIndex(r));
+        mi->indexEnd_ = mi->fileOffset(r.pos());
     } catch (const LoadError &e) {
         return fail(e.message); // dtor unmaps
     }

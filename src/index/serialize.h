@@ -4,12 +4,13 @@
  * API's init() call, which "loads the inverted index file from disk
  * to SCM memory pool" (paper Sec. IV-D).
  *
- * Two load paths share the v2 format:
- *  - loadIndex() copies everything into heap memory and verifies the
- *    whole-file CRC up front (the historical path);
- *  - MappedIndex maps the file and leaves posting payloads as views
- *    into the mapping, verifying only the header/metadata at open
- *    time -- payload integrity is covered lazily by the per-block
+ * One parser reads the v2 format for two load paths, which differ
+ * only in their reader:
+ *  - loadIndex() reads a stream: payloads are owned heap copies, and
+ *    the whole-file CRC is verified;
+ *  - MappedIndex maps the file: payloads stay views into the
+ *    mapping, and the whole-file CRC must be present but is not
+ *    scanned -- payload integrity is covered lazily by the per-block
  *    CRCs in BlockMeta, checked on first decode by the FaultPolicy
  *    (see Device::loadMappedTextIndexFile). Startup cost is
  *    O(metadata), not O(corpus).

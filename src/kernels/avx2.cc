@@ -224,6 +224,32 @@ avx2PrefixSum(std::uint32_t *values, std::size_t n, std::uint32_t base)
     }
 }
 
+/**
+ * Decode up to @p count VarByte values with the plain continuation
+ * loop, advancing @p pos. Called for a whole batch when the
+ * no-continuation window test fails, so the (frequent on
+ * multi-byte encodings) mixed case pays one call and one window
+ * retest per batch instead of per value.
+ */
+std::size_t
+decodeVarByteRun(const std::uint8_t *in, std::size_t inBytes,
+                 std::size_t &pos, std::uint32_t *out,
+                 std::size_t count)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint32_t acc = 0;
+        while (true) {
+            BOSS_ASSERT(pos < inBytes, "VB payload truncated");
+            std::uint8_t b = in[pos++];
+            acc = (acc << 7) | (b & 0x7F);
+            if ((b & 0x80) == 0)
+                break;
+        }
+        out[i] = acc;
+    }
+    return count;
+}
+
 std::size_t
 avx2DecodeVarByte(const std::uint8_t *in, std::size_t inBytes,
                   std::uint32_t *out, std::size_t n)

@@ -3,10 +3,10 @@
  * Kernel tier detection and dispatch.
  *
  * Tier resolution happens once, on the first ops() call: the
- * BOSS_KERNELS environment variable is consulted ("scalar",
- * "sse42", "avx2", or "auto"), then CPUID. The active table is held
- * in an atomic pointer so concurrent readers on the query path pay
- * one relaxed load; setTier() (tests, CLI --kernels) swaps it from
+ * BOSS_KERNELS environment variable is consulted ("scalar", "avx2"
+ * or "auto"), then CPUID. The active table is held in an atomic
+ * pointer so concurrent readers on the query path pay one relaxed
+ * load; setTier() (tests, CLI --kernels) swaps it from
  * single-threaded context.
  */
 
@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 
 #include "common/logging.h"
 
@@ -24,50 +25,6 @@ namespace boss::kernels
 namespace
 {
 
-using detail::kAvx2Compiled;
-using detail::kAvx2Ops;
-using detail::kScalarOps;
-using detail::kSse42Compiled;
-using detail::kSse42Ops;
-
-/** Host CPU support for a tier's instruction set. */
-bool
-cpuSupports(Tier t)
-{
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-    switch (t) {
-      case Tier::Scalar: return true;
-      case Tier::Sse42: return __builtin_cpu_supports("sse4.2") != 0;
-      case Tier::Avx2: return __builtin_cpu_supports("avx2") != 0;
-    }
-    return false;
-#else
-    return t == Tier::Scalar;
-#endif
-}
-
-bool
-tierCompiled(Tier t)
-{
-    switch (t) {
-      case Tier::Scalar: return true;
-      case Tier::Sse42: return kSse42Compiled;
-      case Tier::Avx2: return kAvx2Compiled;
-    }
-    return false;
-}
-
-const Ops *
-tableFor(Tier t)
-{
-    switch (t) {
-      case Tier::Scalar: return &kScalarOps;
-      case Tier::Sse42: return &kSse42Ops;
-      case Tier::Avx2: return &kAvx2Ops;
-    }
-    BOSS_PANIC("unknown kernel tier");
-}
-
 std::atomic<const Ops *> gActiveOps{nullptr};
 std::atomic<Tier> gActiveTier{Tier::Scalar};
 std::once_flag gInitOnce;
@@ -75,8 +32,26 @@ std::once_flag gInitOnce;
 void
 activate(Tier t)
 {
+    const Ops &table = opsFor(t); // fatal if unsupported here
     gActiveTier.store(t, std::memory_order_relaxed);
-    gActiveOps.store(tableFor(t), std::memory_order_release);
+    gActiveOps.store(&table, std::memory_order_release);
+}
+
+/**
+ * The tier an override name selects ("auto" is the best supported
+ * one); nullopt for an unknown name. BOSS_KERNELS and --kernels
+ * both parse here.
+ */
+std::optional<Tier>
+tierFromName(std::string_view name)
+{
+    if (name == "auto")
+        return bestSupportedTier();
+    for (Tier t : {Tier::Scalar, Tier::Avx2}) {
+        if (name == tierName(t))
+            return t;
+    }
+    return std::nullopt;
 }
 
 /** Resolve the startup tier: BOSS_KERNELS env var, then CPUID. */
@@ -84,29 +59,18 @@ void
 initFromEnvironment()
 {
     const char *env = std::getenv("BOSS_KERNELS");
-    if (env != nullptr && env[0] != '\0') {
-        std::string_view name(env);
-        if (name != "auto") {
-            Tier t;
-            if (name == "scalar") {
-                t = Tier::Scalar;
-            } else if (name == "sse42") {
-                t = Tier::Sse42;
-            } else if (name == "avx2") {
-                t = Tier::Avx2;
-            } else {
-                BOSS_FATAL("BOSS_KERNELS='", env,
-                           "' is not scalar|sse42|avx2|auto");
-            }
-            if (!tierSupported(t))
-                BOSS_FATAL("BOSS_KERNELS='", env,
-                           "' requests a kernel tier this host "
-                           "does not support");
-            activate(t);
-            return;
-        }
+    if (env == nullptr || env[0] == '\0') {
+        activate(bestSupportedTier());
+        return;
     }
-    activate(bestSupportedTier());
+    std::optional<Tier> t = tierFromName(env);
+    if (!t)
+        BOSS_FATAL("BOSS_KERNELS='", env, "' is not scalar|avx2|auto");
+    if (!tierSupported(*t))
+        BOSS_FATAL("BOSS_KERNELS='", env,
+                   "' requests a kernel tier this host "
+                   "does not support");
+    activate(*t);
 }
 
 void
@@ -120,36 +84,31 @@ ensureInit()
 std::string_view
 tierName(Tier t)
 {
-    switch (t) {
-      case Tier::Scalar: return "scalar";
-      case Tier::Sse42: return "sse42";
-      case Tier::Avx2: return "avx2";
-    }
-    return "?";
+    return t == Tier::Avx2 ? "avx2" : "scalar";
 }
 
 bool
 tierSupported(Tier t)
 {
-    return cpuSupports(t) && tierCompiled(t);
+    if (t == Tier::Scalar)
+        return true;
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+    return detail::kAvx2Compiled && __builtin_cpu_supports("avx2") != 0;
+#else
+    return false;
+#endif
 }
 
 Tier
 bestSupportedTier()
 {
-    if (tierSupported(Tier::Avx2))
-        return Tier::Avx2;
-    if (tierSupported(Tier::Sse42))
-        return Tier::Sse42;
-    return Tier::Scalar;
+    return tierSupported(Tier::Avx2) ? Tier::Avx2 : Tier::Scalar;
 }
 
 std::vector<Tier>
 availableTiers()
 {
     std::vector<Tier> tiers{Tier::Scalar};
-    if (tierSupported(Tier::Sse42))
-        tiers.push_back(Tier::Sse42);
     if (tierSupported(Tier::Avx2))
         tiers.push_back(Tier::Avx2);
     return tiers;
@@ -172,31 +131,16 @@ void
 setTier(Tier t)
 {
     ensureInit();
-    if (!tierSupported(t))
-        BOSS_FATAL("kernel tier '", tierName(t),
-                   "' is not supported on this host");
     activate(t);
 }
 
 bool
 setTierByName(std::string_view name)
 {
-    if (name == "auto") {
-        ensureInit();
-        activate(bestSupportedTier());
-        return true;
-    }
-    Tier t;
-    if (name == "scalar") {
-        t = Tier::Scalar;
-    } else if (name == "sse42") {
-        t = Tier::Sse42;
-    } else if (name == "avx2") {
-        t = Tier::Avx2;
-    } else {
+    std::optional<Tier> t = tierFromName(name);
+    if (!t)
         return false;
-    }
-    setTier(t);
+    setTier(*t);
     return true;
 }
 
@@ -217,7 +161,7 @@ opsFor(Tier t)
     if (!tierSupported(t))
         BOSS_FATAL("kernel tier '", tierName(t),
                    "' is not supported on this host");
-    return *tableFor(t);
+    return t == Tier::Avx2 ? detail::kAvx2Ops : detail::kScalarOps;
 }
 
 } // namespace boss::kernels

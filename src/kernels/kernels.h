@@ -6,8 +6,8 @@
  * line rate; on the host side that datapath reduces to five scalar
  * loops (bit unpack, delta prefix-sum, VarByte decode, in-block
  * search, BM25 term scoring). This module provides those loops as
- * per-tier kernels -- portable scalar, SSE4.2 and AVX2 -- selected
- * once at startup from CPUID, with two hard guarantees:
+ * per-tier kernels -- portable scalar and AVX2 -- selected once at
+ * startup from CPUID, with two hard guarantees:
  *
  *  1. Bit-exactness. Every tier produces byte-identical output to the
  *     scalar tier for every input, including float scoring (the SIMD
@@ -21,7 +21,7 @@
  *     so they are ASan-clean on arbitrary buffers.
  *
  * Tier selection: the best CPUID-supported tier wins by default; the
- * BOSS_KERNELS environment variable (scalar|sse42|avx2|auto) or
+ * BOSS_KERNELS environment variable (scalar|avx2|auto) or
  * setTier()/setTierByName() (CLI --kernels flag, tests) override it.
  * Overrides requesting an unsupported tier fail loudly rather than
  * silently degrading.
@@ -42,11 +42,10 @@ namespace boss::kernels
 enum class Tier : std::uint8_t
 {
     Scalar = 0,
-    Sse42 = 1,
-    Avx2 = 2,
+    Avx2 = 1,
 };
 
-/** Lower-case tier name ("scalar", "sse42", "avx2"). */
+/** Lower-case tier name ("scalar", "avx2"). */
 std::string_view tierName(Tier t);
 
 /**
@@ -79,9 +78,9 @@ std::string_view activeTierName();
 void setTier(Tier t);
 
 /**
- * Parse and apply a tier override: "scalar", "sse42", "avx2" or
- * "auto". Returns false (and changes nothing) on an unknown name;
- * fatal if the named tier is unsupported on this host.
+ * Parse and apply a tier override: "scalar", "avx2" or "auto".
+ * Returns false (and changes nothing) on an unknown name; fatal if
+ * the named tier is unsupported on this host.
  */
 bool setTierByName(std::string_view name);
 

@@ -2,13 +2,13 @@
  * @file
  * Internal plumbing between the kernel tiers and the dispatcher.
  *
- * Each tier's translation unit defines one Ops table. The SIMD TUs
- * are compiled with their own -m flags (see CMakeLists.txt); when a
- * toolchain or target cannot build a tier, the TU falls back to the
+ * Each tier's translation unit defines one Ops table. The AVX2 TU is
+ * compiled with its own -m flags (see CMakeLists.txt); when a
+ * toolchain or target cannot build it, the TU falls back to the
  * scalar entry points and reports itself non-compiled, so the
  * dispatcher never exposes it. The scalar entry points are exported
- * here both for that fallback and so SIMD kernels can delegate their
- * unaligned/tail slices to the scalar code path.
+ * here both for that fallback and so the AVX2 kernels can delegate
+ * their unaligned/tail slices to the scalar code path.
  */
 
 #ifndef BOSS_KERNELS_KERNELS_IMPL_H
@@ -19,32 +19,6 @@
 
 namespace boss::kernels::detail
 {
-
-/**
- * Decode up to @p count VarByte values with the plain continuation
- * loop, advancing @p pos. The SIMD tiers call this for a whole batch
- * when their no-continuation window test fails, so the (frequent on
- * multi-byte encodings) mixed case pays one call and one window
- * retest per batch instead of per value.
- */
-inline std::size_t
-decodeVarByteRun(const std::uint8_t *in, std::size_t inBytes,
-                 std::size_t &pos, std::uint32_t *out,
-                 std::size_t count)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        std::uint32_t acc = 0;
-        while (true) {
-            BOSS_ASSERT(pos < inBytes, "VB payload truncated");
-            std::uint8_t b = in[pos++];
-            acc = (acc << 7) | (b & 0x7F);
-            if ((b & 0x80) == 0)
-                break;
-        }
-        out[i] = acc;
-    }
-    return count;
-}
 
 // Scalar reference kernels (always available).
 void scalarUnpackBits(const std::uint8_t *in, std::size_t inBytes,
@@ -61,11 +35,9 @@ void scalarScoreBm25(double idf, double k1p1, const std::uint32_t *tfs,
                      const float *norms, std::size_t n, float *out);
 
 extern const Ops kScalarOps;
-extern const Ops kSse42Ops;
 extern const Ops kAvx2Ops;
 
-/** True when the tier's TU was compiled with its intrinsics. */
-extern const bool kSse42Compiled;
+/** True when the AVX2 TU was compiled with its intrinsics. */
 extern const bool kAvx2Compiled;
 
 } // namespace boss::kernels::detail

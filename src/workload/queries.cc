@@ -88,7 +88,8 @@ sampleTerms(Rng &rng, std::uint32_t vocab, std::uint32_t n)
 std::vector<Query>
 makeWorkload(const QueryWorkloadConfig &config)
 {
-    BOSS_ASSERT(config.vocabSize >= 8, "vocabulary too small");
+    BOSS_ASSERT(config.vocabSize >= kMinVocabSize,
+                "vocabulary too small");
     Rng rng(config.seed);
     std::vector<Query> out;
     out.reserve(config.queriesPerBucket * 3);
@@ -121,7 +122,8 @@ makeWorkload(const QueryWorkloadConfig &config)
 std::vector<Query>
 sampleQueries(const QueryWorkloadConfig &config, std::size_t count)
 {
-    BOSS_ASSERT(config.vocabSize >= 8, "vocabulary too small");
+    BOSS_ASSERT(config.vocabSize >= kMinVocabSize,
+                "vocabulary too small");
     std::vector<Query> out;
     out.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {

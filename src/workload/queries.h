@@ -80,6 +80,14 @@ struct Query
 };
 
 /**
+ * The smallest vocabulary the samplers draw from: a 4-term query
+ * picks distinct terms near its anchor rank, which needs headroom
+ * past 4 terms. Callers that size the vocabulary from an index
+ * (boss_serve) check it against this floor first.
+ */
+inline constexpr std::uint32_t kMinVocabSize = 8;
+
+/**
  * Workload sampler configuration.
  */
 struct QueryWorkloadConfig

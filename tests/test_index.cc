@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "index/block_decoder.h"
@@ -304,6 +308,36 @@ TEST(Serialize, TryLoadAcceptsCleanStream)
     EXPECT_EQ(loaded->sizeBytes(), index.sizeBytes());
 }
 
+/**
+ * Feed one damaged index image to both readers -- the stream loader
+ * and MappedIndex::tryOpen over a temp file private to the running
+ * test and process -- and expect both to reject it. Returns the
+ * stream and mapped errors.
+ */
+std::pair<std::string, std::string>
+expectBothReject(const std::string &image, const std::string &what)
+{
+    std::stringstream is(image);
+    std::string streamError;
+    EXPECT_FALSE(tryLoadIndex(is, &streamError).has_value())
+        << "stream reader accepted " << what;
+
+    const auto *test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    const std::string path = ::testing::TempDir() + test->name() +
+                             "_" + std::to_string(::getpid()) + ".idx";
+    {
+        std::ofstream os(path, std::ios::binary);
+        os.write(image.data(),
+                 static_cast<std::streamsize>(image.size()));
+    }
+    std::string mappedError;
+    EXPECT_EQ(MappedIndex::tryOpen(path, &mappedError), nullptr)
+        << "mapped reader accepted " << what;
+    std::remove(path.c_str());
+    return {streamError, mappedError};
+}
+
 TEST(Serialize, RejectsTruncationAtAnyLength)
 {
     InvertedIndex index = smallIndex(7);
@@ -322,10 +356,9 @@ TEST(Serialize, RejectsTruncationAtAnyLength)
     for (std::size_t i = image.size() - 64; i < image.size(); ++i)
         cuts.push_back(i);
     for (std::size_t cut : cuts) {
-        std::stringstream damaged(image.substr(0, cut));
-        std::string error;
-        EXPECT_FALSE(tryLoadIndex(damaged, &error).has_value())
-            << "prefix of " << cut << " bytes was accepted";
+        expectBothReject(image.substr(0, cut),
+                         "a prefix of " + std::to_string(cut) +
+                             " bytes");
     }
 }
 
@@ -344,10 +377,12 @@ TEST(Serialize, RejectsOversizedVectorCounts)
     const std::size_t countOff = 36;
     std::uint64_t huge = 1ull << 60;
     std::memcpy(image.data() + countOff, &huge, sizeof(huge));
-    std::stringstream damaged(image);
-    std::string error;
-    EXPECT_FALSE(tryLoadIndex(damaged, &error).has_value());
-    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+    const auto [streamError, mappedError] =
+        expectBothReject(image, "a 2^60 doc-table count");
+    EXPECT_NE(streamError.find("truncated"), std::string::npos)
+        << streamError;
+    EXPECT_NE(mappedError.find("truncated"), std::string::npos)
+        << mappedError;
 }
 
 TEST(Serialize, FileLoaderRejectsTrailingGarbage)

@@ -40,7 +40,6 @@ struct TierGuard
 TEST(KernelDispatchTest, TierNamesRoundTrip)
 {
     EXPECT_EQ(k::tierName(k::Tier::Scalar), "scalar");
-    EXPECT_EQ(k::tierName(k::Tier::Sse42), "sse42");
     EXPECT_EQ(k::tierName(k::Tier::Avx2), "avx2");
 }
 
@@ -66,6 +65,11 @@ TEST(KernelDispatchTest, SetTierByNameAcceptsKnownRejectsUnknown)
     EXPECT_EQ(k::activeTier(), k::bestSupportedTier());
     EXPECT_FALSE(k::setTierByName("avx512"));
     EXPECT_FALSE(k::setTierByName(""));
+    // The removed SSE4.2 tier's name is an unknown name too, and a
+    // rejected name leaves the active tier as it was.
+    ASSERT_TRUE(k::setTierByName("scalar"));
+    EXPECT_FALSE(k::setTierByName("sse42"));
+    EXPECT_EQ(k::activeTier(), k::Tier::Scalar);
 }
 
 TEST(KernelDispatchTest, OpsFollowActiveTier)

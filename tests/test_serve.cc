@@ -337,9 +337,9 @@ TEST_F(ServeTest, ShardedServeMatchesShardedBatchBitExactly)
 
 TEST_F(ServeTest, OverlappedShardReplayMatchesSingleDevice)
 {
-    // The pipelined ShardedDevice::searchBatch (replay posted to
-    // pool workers) must stay bit-identical to one device over the
-    // whole corpus, at several thread counts.
+    // ShardedDevice::searchBatch runs one Device::searchBatch per
+    // shard and merges: it must stay bit-identical to one device
+    // over the whole corpus, at several thread counts.
     auto global = corpus_->buildIndex(*terms_);
     accel::Device single;
     single.loadIndex(global);

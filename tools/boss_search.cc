@@ -49,7 +49,7 @@
  *                          decode. Needs --shards 1, since re-sharding
  *                          decodes every payload unchecked
  *   --kernels=TIER         host SIMD kernel tier for block decode /
- *                          scoring: scalar|sse42|avx2|auto (default:
+ *                          scoring: scalar|avx2|auto (default:
  *                          the BOSS_KERNELS env var, else auto =
  *                          best supported). Every tier is bit-exact;
  *                          this only changes host-side speed.
@@ -353,7 +353,7 @@ main(int argc, char **argv)
                    matchValueFlag(argv[argi], "--kernels", tier)) {
             if (!boss::kernels::setTierByName(tier)) {
                 std::fprintf(stderr,
-                             "--kernels wants scalar|sse42|avx2|auto, "
+                             "--kernels wants scalar|avx2|auto, "
                              "got '%s'\n",
                              tier.c_str());
                 return 2;

@@ -53,7 +53,7 @@
  *                        and /healthz) on this port; 0 = ephemeral
  *   --flight-out=FILE    flight-recorder dump (slowest + recent
  *                        shed queries) as Chrome trace at exit
- *   --kernels=TIER       scalar|sse42|avx2|auto (bit-exact tiers)
+ *   --kernels=TIER       scalar|avx2|auto (bit-exact tiers)
  *   --cache-mb N         DRAM block-cache tier of N MiB in front of
  *                        each device's SCM (index files only: a
  *                        segment dir's per-epoch devices would need
@@ -432,6 +432,34 @@ numberAfter(int &argi, int argc, char **argv, const char *flag)
     return n;
 }
 
+/** numberAfter() for a count that must be at least 1. */
+long
+countAfter(int &argi, int argc, char **argv, const char *flag)
+{
+    long n = numberAfter(argi, argc, argv, flag);
+    if (n < 1) {
+        std::fprintf(stderr, "%s wants a positive count\n", flag);
+        std::exit(2);
+    }
+    return n;
+}
+
+/**
+ * Serving samples its queries from the index's terms, so it needs
+ * the sampler's vocabulary floor; false (after saying so) below it.
+ */
+bool
+enoughTerms(const char *path, std::uint32_t vocab)
+{
+    if (vocab >= boss::workload::kMinVocabSize)
+        return true;
+    std::fprintf(stderr,
+                 "'%s' has %u terms; boss_serve samples its queries "
+                 "from at least %u\n",
+                 path, vocab, boss::workload::kMinVocabSize);
+    return false;
+}
+
 int
 serveSession(boss::serve::Backend &backend, std::uint32_t vocab,
              const Options &opts, IngestDriver *ingest = nullptr,
@@ -617,32 +645,22 @@ main(int argc, char **argv)
                 numberAfter(argi, argc, argv, "--queries"));
         } else if (arg == "--distinct") {
             opts.distinct = static_cast<std::size_t>(
-                numberAfter(argi, argc, argv, "--distinct"));
+                countAfter(argi, argc, argv, "--distinct"));
         } else if (arg == "--seed") {
             opts.seed = static_cast<std::uint64_t>(
                 numberAfter(argi, argc, argv, "--seed"));
         } else if (arg == "--queue") {
             opts.queueCapacity = static_cast<std::size_t>(
-                numberAfter(argi, argc, argv, "--queue"));
+                countAfter(argi, argc, argv, "--queue"));
         } else if (arg == "--warmup") {
             opts.warmup = static_cast<std::size_t>(
                 numberAfter(argi, argc, argv, "--warmup"));
         } else if (arg == "--shards") {
-            opts.shards = numberAfter(argi, argc, argv, "--shards");
-            if (opts.shards < 1) {
-                std::fprintf(stderr,
-                             "--shards wants a positive count\n");
-                return 2;
-            }
+            opts.shards = countAfter(argi, argc, argv, "--shards");
         } else if (arg == "--threads") {
-            long n = numberAfter(argi, argc, argv, "--threads");
-            if (n < 1) {
-                std::fprintf(stderr,
-                             "--threads wants a positive count\n");
-                return 2;
-            }
             boss::common::ThreadPool::setGlobalThreads(
-                static_cast<std::size_t>(n));
+                static_cast<std::size_t>(
+                    countAfter(argi, argc, argv, "--threads")));
         } else if (arg == "--deadline-us") {
             double d = argi + 1 < argc
                            ? std::strtod(argv[argi + 1], nullptr)
@@ -764,8 +782,8 @@ main(int argc, char **argv)
         } else if (matchValueFlag(argv[argi], "--kernels", value)) {
             if (!boss::kernels::setTierByName(value)) {
                 std::fprintf(stderr,
-                             "--kernels wants scalar|sse42|avx2|"
-                             "auto, got '%s'\n",
+                             "--kernels wants scalar|avx2|auto, "
+                             "got '%s'\n",
                              value.c_str());
                 return 2;
             }
@@ -835,11 +853,8 @@ main(int argc, char **argv)
             return 1;
         }
         vocab = boss::index::Lexicon::load(ls).size();
-        if (vocab == 0) {
-            std::fprintf(stderr, "empty lexicon in '%s'\n",
-                         argv[argi]);
+        if (!enoughTerms(argv[argi], vocab))
             return 1;
-        }
         boss::index::segments::LiveIndexConfig live;
         live.dir = dir.string();
         live.termBoundHint = vocab;
@@ -858,6 +873,8 @@ main(int argc, char **argv)
         else
             device.loadTextIndexFile(argv[argi]);
         vocab = device.shard(0).lexicon().size();
+        if (!enoughTerms(argv[argi], vocab))
+            return 1;
         std::printf("loaded %u docs / %u terms", device.map().numDocs(),
                     vocab);
         if (device.numShards() > 1)
