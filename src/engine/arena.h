@@ -8,7 +8,7 @@
  * survives reset(), so a worker thread serving a batch of queries
  * allocates only on its first query and then runs allocation-free on
  * the decode path. Arenas are not thread-safe: each pool worker owns
- * one and threads it through buildStreams()/executeQuery().
+ * one and threads it through executeQuery().
  */
 
 #ifndef BOSS_ENGINE_ARENA_H
@@ -61,7 +61,7 @@ class QueryArena
 
     /**
      * Return every borrowed buffer to the pool (capacity is kept).
-     * Call between queries, after the previous query's streams are
+     * Call between queries, after the previous query's cursors are
      * destroyed.
      */
     void

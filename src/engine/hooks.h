@@ -21,6 +21,21 @@ namespace boss::engine
 {
 
 /**
+ * Per-document events, counted in plain integers by the engine (the
+ * union loop visits tens of thousands of documents per query; a
+ * virtual call per event would cost more than the event).
+ */
+struct DocWork
+{
+    std::uint64_t unionSteps = 0;  ///< union-module scheduling steps
+    std::uint64_t compares = 0;    ///< set-operation docID comparisons
+    std::uint64_t skippedDocs = 0; ///< candidates skipped by ET
+    std::uint64_t scoredDocs = 0;  ///< docs scored, each loading its norm
+    std::uint64_t scoredTerms = 0; ///< term scores summed over them
+    std::uint64_t topkInserts = 0; ///< candidates offered to the top-k
+};
+
+/**
  * Execution event callbacks. All have empty defaults so models
  * override only what they charge for.
  */
@@ -28,6 +43,16 @@ class ExecHooks
 {
   public:
     virtual ~ExecHooks() = default;
+
+    /** Deliver @p work to @p hooks (if any) and zero it. */
+    static void
+    flush(ExecHooks *hooks, DocWork *work)
+    {
+        if (hooks != nullptr && work != nullptr) {
+            hooks->onDocWork(*work);
+            *work = {};
+        }
+    }
 
     /** @p count block-metadata records of term @p t were inspected. */
     virtual void onMetaRead(TermId t, std::uint32_t count)
@@ -53,16 +78,6 @@ class ExecHooks
     /** @p count values went through the decompression module. */
     virtual void onDecode(std::uint32_t count) { (void)count; }
 
-    /** A per-document norm record was fetched (LD Score, 4B). */
-    virtual void onNormLoad(DocId d) { (void)d; }
-
-    /** Document @p d was scored, summing @p numTerms term scores. */
-    virtual void onScore(DocId d, std::uint32_t numTerms)
-    {
-        (void)d;
-        (void)numTerms;
-    }
-
     /**
      * A block was fetched by a random-access membership probe
      * (IIU-style binary-search intersection). Distinct from
@@ -75,14 +90,13 @@ class ExecHooks
         (void)meta;
     }
 
-    /** @p count docID comparisons in a set-operation unit. */
-    virtual void onCompare(std::uint64_t count) { (void)count; }
-
-    /** One union-module scheduling step (sorter/pivot selection). */
-    virtual void onUnionStep() {}
-
-    /** A candidate entered the top-k module. */
-    virtual void onTopkInsert(bool accepted) { (void)accepted; }
+    /**
+     * Per-document work since the previous delivery: called just
+     * before each onDocBlockLoad/onProbeBlockLoad and once at the end
+     * of the query, so every count lands between the same two block
+     * loads as the events it counts.
+     */
+    virtual void onDocWork(const DocWork &work) { (void)work; }
 
     /** Intermediate-list spill traffic (IIU-style multi-term). */
     virtual void onIntermediate(std::uint64_t bytesWritten,
@@ -117,9 +131,6 @@ class ExecHooks
         (void)t;
         (void)meta;
     }
-
-    /** @p count candidate documents skipped by early termination. */
-    virtual void onSkippedDocs(std::uint64_t count) { (void)count; }
 
     /** @p count whole blocks of term @p t skipped without loading. */
     virtual void onSkippedBlocks(TermId t, std::uint64_t count)

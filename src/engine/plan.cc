@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <set>
 
 #include "common/logging.h"
@@ -196,15 +197,18 @@ defaultTermResolver(std::string_view name)
     if (name.size() < 2 || name[0] != 't')
         BOSS_FATAL("term name '", std::string(name),
                    "' is not of the form t<N>");
-    TermId t = 0;
+    // Accumulate wide, so an N past the TermId range is refused
+    // instead of wrapping to another term.
+    std::uint64_t t = 0;
     for (std::size_t i = 1; i < name.size(); ++i) {
         char c = name[i];
-        if (c < '0' || c > '9')
+        if (c >= '0' && c <= '9')
+            t = t * 10 + static_cast<std::uint64_t>(c - '0');
+        if (c < '0' || c > '9' || t > std::numeric_limits<TermId>::max())
             BOSS_FATAL("term name '", std::string(name),
                        "' is not of the form t<N>");
-        t = t * 10 + static_cast<TermId>(c - '0');
     }
-    return t;
+    return static_cast<TermId>(t);
 }
 
 QueryPlan
@@ -250,7 +254,7 @@ planQuery(const workload::Query &query)
         plan.groups = {{t[0], t[1]}, {t[0], t[2]}, {t[0], t[3]}};
         break;
     }
-    // Groups are canonically sorted sets (buildStreams relies on it).
+    // Groups are canonically sorted sets (plan compilation relies on it).
     for (auto &g : plan.groups)
         std::sort(g.begin(), g.end());
     std::set<TermId> all(t.begin(), t.end());

@@ -1,6 +1,6 @@
 #include "model/trace.h"
 
-#include <unordered_map>
+#include <utility>
 
 #include "common/bitops.h"
 #include "common/logging.h"
@@ -40,10 +40,10 @@ class TraceBuilder : public ExecHooks
         if (count == 0)
             return;
         seg().work.metaReads += count;
+        std::uint32_t &read = metaRead(t);
         Addr cursor = layout_.list(t).metaAddr +
-                      static_cast<Addr>(metaCursor_[t]) *
-                          index::kBlockMetaBytes;
-        metaCursor_[t] += count;
+                      static_cast<Addr>(read) * index::kBlockMetaBytes;
+        read += count;
         // Metadata is streamed in order; adjacent reads coalesce
         // into one request (the block fetch module prefetches the
         // 19 B records sequentially).
@@ -114,33 +114,19 @@ class TraceBuilder : public ExecHooks
     }
 
     void
-    onNormLoad(DocId) override
+    onDocWork(const engine::DocWork &work) override
     {
+        SegmentWork &w = seg().work;
+        w.unionSteps += static_cast<std::uint32_t>(work.unionSteps);
+        w.compares += static_cast<std::uint32_t>(work.compares);
+        w.scoreDocs += static_cast<std::uint32_t>(work.scoredDocs);
+        w.scoreTermOps += static_cast<std::uint32_t>(work.scoredTerms);
+        w.topkOps += static_cast<std::uint32_t>(work.topkInserts);
         // Norms arrive with the block's tf sidecar (onTfBlockLoad);
-        // no per-document traffic.
-        seg().work.normGranules += 1;
-    }
-
-    void
-    onScore(DocId, std::uint32_t numTerms) override
-    {
-        seg().work.scoreDocs += 1;
-        seg().work.scoreTermOps += numTerms;
-        ++out_.evaluatedDocs;
-    }
-
-    void
-    onCompare(std::uint64_t count) override
-    {
-        seg().work.compares += static_cast<std::uint32_t>(count);
-    }
-
-    void onUnionStep() override { seg().work.unionSteps += 1; }
-
-    void
-    onTopkInsert(bool) override
-    {
-        seg().work.topkOps += 1;
+        // a scored doc's norm costs no traffic of its own.
+        w.normGranules += static_cast<std::uint32_t>(work.scoredDocs);
+        out_.evaluatedDocs += work.scoredDocs;
+        out_.skippedDocs += work.skippedDocs;
     }
 
     void
@@ -218,12 +204,6 @@ class TraceBuilder : public ExecHooks
     }
 
     void
-    onSkippedDocs(std::uint64_t count) override
-    {
-        out_.skippedDocs += count;
-    }
-
-    void
     onSkippedBlocks(TermId t, std::uint64_t count) override
     {
         out_.blocksSkipped += count;
@@ -271,6 +251,17 @@ class TraceBuilder : public ExecHooks
         out_.segments.emplace_back();
     }
 
+    /** Metadata records of term @p t read so far in this query. */
+    std::uint32_t &
+    metaRead(TermId t)
+    {
+        for (auto &[term, count] : metaRead_) {
+            if (term == t)
+                return count;
+        }
+        return metaRead_.emplace_back(t, 0).second;
+    }
+
     const index::InvertedIndex &index_;
     const index::MemoryLayout &layout_;
     const TraceOptions &options_;
@@ -278,7 +269,8 @@ class TraceBuilder : public ExecHooks
     trace::Scope scope_;
     std::uint16_t lane_;
 
-    std::unordered_map<TermId, std::uint32_t> metaCursor_;
+    /** (term, records read): a query has a handful of terms. */
+    std::vector<std::pair<TermId, std::uint32_t>> metaRead_;
 };
 
 } // namespace

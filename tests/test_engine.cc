@@ -14,7 +14,6 @@
 #include "engine/cursor.h"
 #include "engine/execute.h"
 #include "engine/plan.h"
-#include "engine/streams.h"
 #include "engine/topk.h"
 #include "index/block_decoder.h"
 #include "workload/corpus.h"
@@ -249,6 +248,12 @@ TEST(PlanTest, RejectsMalformed)
     EXPECT_EXIT(parseExpression("\"t1\" XOR \"t2\"",
                                 defaultTermResolver),
                 ::testing::ExitedWithCode(1), "unexpected");
+    // Past the TermId range: a name must never wrap to another term.
+    EXPECT_EQ(defaultTermResolver("t4294967295"), 4294967295u);
+    EXPECT_EXIT(defaultTermResolver("t4294967296"),
+                ::testing::ExitedWithCode(1), "not of the form t<N>");
+    EXPECT_EXIT(defaultTermResolver("t4294967297"),
+                ::testing::ExitedWithCode(1), "not of the form t<N>");
 }
 
 // ---------------------------------------------------------------
@@ -330,9 +335,9 @@ struct WorkCounter : ExecHooks
     std::uint64_t scored = 0;
     std::uint64_t blocksLoaded = 0;
     void
-    onScore(DocId, std::uint32_t) override
+    onDocWork(const DocWork &work) override
     {
-        ++scored;
+        scored += work.scoredDocs;
     }
     void
     onDocBlockLoad(TermId, const index::BlockMeta &) override

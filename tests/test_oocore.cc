@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -85,7 +87,10 @@ readFile(const std::string &path)
 std::string
 tmpPath(const std::string &name)
 {
-    return testing::TempDir() + "oocore_" + name;
+    // ctest runs each test in its own process, several at once: a
+    // suite's set-up in one must not rewrite or delete another's file.
+    return testing::TempDir() + "oocore_" + std::to_string(::getpid()) +
+           "_" + name;
 }
 
 /** The in-memory reference file for @p docs. */
